@@ -32,7 +32,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "campaign/journal.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/supervisor.hpp"
 #include "campaign/worker.hpp"
@@ -49,11 +48,12 @@ std::map<std::string, std::string> read_history(const std::string& state_dir) {
   std::ifstream in(state_dir + "/history.jsonl");
   std::string line;
   while (in && std::getline(in, line)) {
-    std::string id;
-    std::string payload;
-    if (campaign::extract_json_string(line, "cell", id) &&
-        campaign::extract_json_object(line, "payload", payload)) {
-      out[id] = payload;
+    util::json::Value record;
+    if (!util::json::parse(line, record)) continue;
+    const util::json::Value* id = record.find("cell");
+    const util::json::Value* payload = record.find("payload");
+    if (id != nullptr && payload != nullptr) {
+      out[id->text] = std::string(payload->span(line));
     }
   }
   return out;
@@ -110,11 +110,13 @@ int main(int argc, char** argv) {
 
   campaign::CampaignSpec spec;
   spec.name = "soak";
-  spec.targets = {"toy"};
-  spec.archs = {"default-mlp"};
+  campaign::GridBlock block;
+  block.targets = {"toy"};
+  block.archs = {"default-mlp"};
   for (std::size_t r = 1; r <= cells; ++r) {
-    spec.rounds.push_back(static_cast<int>(r));
+    block.rounds.push_back(static_cast<int>(r));
   }
+  spec.blocks = {block};
   spec.base.epochs = 2;
   spec.base.batch_size = 64;
   spec.base.threads = 1;

@@ -117,11 +117,13 @@ int main(int argc, char** argv) {
 
   campaign::CampaignSpec spec;
   spec.name = "obs-pipeline";
-  spec.targets = {"toy"};
-  spec.archs = {"default-mlp"};
+  campaign::GridBlock block;
+  block.targets = {"toy"};
+  block.archs = {"default-mlp"};
   for (std::size_t r = 1; r <= cells; ++r) {
-    spec.rounds.push_back(static_cast<int>(r));
+    block.rounds.push_back(static_cast<int>(r));
   }
+  spec.blocks = {block};
   spec.base.epochs = 2;
   spec.base.batch_size = 64;
   spec.base.threads = 1;

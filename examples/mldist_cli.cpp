@@ -279,9 +279,9 @@ int usage() {
                "and --diff-site plaintext|related-key with --diffs m1,m2 to "
                "pick the\n"
                "difference site and masks (see EXPERIMENTS.md).\n"
-               "campaign shards the spec-file grid (or the legacy target x "
+               "campaign shards the spec-file grid (or the one-block target x "
                "rounds x arch\n"
-               "axes) over worker processes, journals results to "
+               "grid of the axis flags) over worker processes, journals results to "
                "DIR/campaign.state.jsonl +\n"
                "DIR/history.jsonl, and resumes from DIR after a crash, "
                "skipping finished cells.\n"
@@ -477,22 +477,25 @@ int cmd_campaign(const Args& args) {
   }
   campaign::CampaignSpec spec;
   if (!args.spec_path.empty()) {
-    // The spec file owns the whole grid; mixing in legacy axis flags would
+    // The spec file owns the whole grid; mixing in axis flags would
     // silently lose whichever side we ignored, so refuse the combination.
     if (!args.targets.empty() || !args.rounds_list.empty() ||
         !args.archs.empty()) {
       throw std::invalid_argument(
-          "campaign: --spec carries the full grid; drop the legacy "
+          "campaign: --spec carries the full grid; drop the "
           "--targets/--rounds-list/--archs flags (put those axes in the "
           "spec file's \"grid\" blocks instead)");
     }
     spec = campaign::load_spec_file(args.spec_path);
   } else {
+    // The axis flags are a one-block grid.
     spec.base = args.config;
     spec.base.on_epoch = nullptr;
-    spec.targets = args.targets;
-    spec.rounds = args.rounds_list;
-    spec.archs = args.archs;
+    campaign::GridBlock block;
+    block.targets = args.targets;
+    block.rounds = args.rounds_list;
+    block.archs = args.archs;
+    spec.blocks.push_back(std::move(block));
     spec.seed = args.config.seed;
   }
 

@@ -1,140 +1,31 @@
 #include "campaign/journal.hpp"
 
-#include <cctype>
 #include <fstream>
+#include <string_view>
+
+#include "util/json.hpp"
 
 namespace mldist::campaign {
 
 namespace {
 
-/// Position just past `"key":` in `json`, or npos.  Keys this module emits
-/// never need escaping, so a literal search for the quoted key is exact.
-std::size_t value_offset(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = json.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
-}
+using util::json::Value;
 
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-void append_utf8(std::string& out, unsigned cp) {
-  if (cp < 0x80) {
-    out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    out += static_cast<char>(0xc0 | (cp >> 6));
-    out += static_cast<char>(0x80 | (cp & 0x3f));
-  } else {
-    out += static_cast<char>(0xe0 | (cp >> 12));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-    out += static_cast<char>(0x80 | (cp & 0x3f));
-  }
+const std::string* string_member(const Value& record, std::string_view key) {
+  const Value* v = record.find(key);
+  return v != nullptr && v->kind == Value::Kind::kString ? &v->text : nullptr;
 }
 
 }  // namespace
 
 bool extract_json_string(const std::string& json, const std::string& key,
                          std::string& out) {
-  std::size_t i = value_offset(json, key);
-  if (i == std::string::npos || i >= json.size() || json[i] != '"') {
-    return false;
-  }
-  ++i;
-  std::string value;
-  while (i < json.size()) {
-    const char c = json[i];
-    if (c == '"') {
-      out = std::move(value);
-      return true;
-    }
-    if (c == '\\') {
-      if (i + 1 >= json.size()) return false;
-      const char e = json[i + 1];
-      switch (e) {
-        case '"': value += '"'; break;
-        case '\\': value += '\\'; break;
-        case '/': value += '/'; break;
-        case 'b': value += '\b'; break;
-        case 'f': value += '\f'; break;
-        case 'n': value += '\n'; break;
-        case 'r': value += '\r'; break;
-        case 't': value += '\t'; break;
-        case 'u': {
-          if (i + 5 >= json.size()) return false;
-          unsigned cp = 0;
-          for (int k = 2; k <= 5; ++k) {
-            const int d = hex_digit(json[i + k]);
-            if (d < 0) return false;
-            cp = (cp << 4) | static_cast<unsigned>(d);
-          }
-          append_utf8(value, cp);
-          i += 4;
-          break;
-        }
-        default:
-          return false;
-      }
-      i += 2;
-      continue;
-    }
-    value += c;
-    ++i;
-  }
-  return false;
-}
-
-bool extract_json_u64(const std::string& json, const std::string& key,
-                      std::uint64_t& out) {
-  std::size_t i = value_offset(json, key);
-  if (i == std::string::npos || i >= json.size() ||
-      !std::isdigit(static_cast<unsigned char>(json[i]))) {
-    return false;
-  }
-  std::uint64_t value = 0;
-  while (i < json.size() && std::isdigit(static_cast<unsigned char>(json[i]))) {
-    value = value * 10 + static_cast<std::uint64_t>(json[i] - '0');
-    ++i;
-  }
-  out = value;
+  Value record;
+  if (!util::json::parse(json, record)) return false;
+  const std::string* value = string_member(record, key);
+  if (value == nullptr) return false;
+  out = *value;
   return true;
-}
-
-bool extract_json_object(const std::string& json, const std::string& key,
-                         std::string& out) {
-  const std::size_t start = value_offset(json, key);
-  if (start == std::string::npos || start >= json.size() ||
-      json[start] != '{') {
-    return false;
-  }
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = start; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;  // skip the escaped char; \uXXXX digits contain no quotes
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) {
-        out = json.substr(start, i - start + 1);
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 JournalState replay_journal(const std::string& path) {
@@ -143,35 +34,37 @@ JournalState replay_journal(const std::string& path) {
   if (!in) return state;
   std::string line;
   while (std::getline(in, line)) {
-    std::string event;
-    if (!extract_json_string(line, "event", event)) continue;
-    if (event == "start") {
+    Value record;
+    if (!util::json::parse(line, record)) continue;  // torn final line
+    const std::string* event = string_member(record, "event");
+    if (event == nullptr) continue;
+    if (*event == "start") {
       state.saw_start = true;
-      extract_json_string(line, "grid", state.grid_crc);
+      if (const std::string* grid = string_member(record, "grid")) {
+        state.grid_crc = *grid;
+      }
       continue;
     }
-    std::string cell;
-    if (event == "trained") {
-      std::string record;
-      if (extract_json_string(line, "cell", cell) &&
-          extract_json_string(line, "train", record)) {
-        state.trained[cell] = std::move(record);
+    const std::string* cell = string_member(record, "cell");
+    if (cell == nullptr) continue;
+    if (*event == "trained") {
+      if (const std::string* train = string_member(record, "train")) {
+        state.trained[*cell] = *train;
       }
-    } else if (event == "done") {
-      std::string payload;
-      if (extract_json_string(line, "cell", cell) &&
-          extract_json_object(line, "payload", payload)) {
-        std::string telemetry;
-        extract_json_object(line, "telemetry", telemetry);
-        state.done_payload[cell] = std::move(payload);
-        state.done_telemetry[cell] = std::move(telemetry);
-        state.trained.erase(cell);
-        state.failed.erase(cell);
+    } else if (*event == "done") {
+      const Value* payload = record.find("payload");
+      if (payload != nullptr && payload->kind == Value::Kind::kObject) {
+        const Value* telemetry = record.find("telemetry");
+        state.done_payload[*cell] = std::string(payload->span(line));
+        state.done_telemetry[*cell] =
+            telemetry != nullptr && telemetry->kind == Value::Kind::kObject
+                ? std::string(telemetry->span(line))
+                : std::string();
+        state.trained.erase(*cell);
+        state.failed.erase(*cell);
       }
-    } else if (event == "failed") {
-      if (extract_json_string(line, "cell", cell)) {
-        state.failed.insert(cell);
-      }
+    } else if (*event == "failed") {
+      state.failed.insert(*cell);
     }
   }
   return state;

@@ -9,11 +9,9 @@
 // supervisor killed between the two reconciles by re-emitting history from
 // the WAL — never by re-running the cell.
 //
-// Replay is consumer-side field extraction, the same stance as
-// tools/bench_compare: the library still only *writes* JSON (util/json is a
-// builder, not a parser), and the three extract_* helpers below pull the
-// handful of keys replay needs out of lines this module itself wrote.  They
-// are not a general JSON parser and don't try to be.
+// Replay reads each line with util::json, the repo's one JSON reader, and
+// keeps "payload"/"telemetry" as their source spans: the bytes come back
+// exactly as journaled, which is what makes payload pinning bitwise.
 //
 // Record shapes (one per line, "event" first):
 //   {"event":"start","campaign":...,"cells":N,"seed":S,"grid":"crc",
@@ -27,28 +25,16 @@
 //   {"event":"interrupted"}   {"event":"end","done":D,"failed":F}
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 
 namespace mldist::campaign {
 
-/// Extract a string value for `key` from a flat JSON object this module
-/// wrote (no whitespace between tokens), unescaping \" \\ \/ \b \f \n \r
-/// \t and \uXXXX (BMP, rendered as UTF-8).  False when the key is absent
-/// or not a string.
+/// The string value of top-level member `key` of the JSON object `json`
+/// (fully unescaped).  False when `json` does not parse, or the key is
+/// absent or not a string.
 bool extract_json_string(const std::string& json, const std::string& key,
-                         std::string& out);
-
-/// Extract an unsigned integer value for `key`.
-bool extract_json_u64(const std::string& json, const std::string& key,
-                      std::uint64_t& out);
-
-/// Extract the raw balanced-brace object value for `key` (verbatim
-/// substring including the outer braces — this is what makes payload
-/// pinning bitwise: the bytes come back exactly as journaled).
-bool extract_json_object(const std::string& json, const std::string& key,
                          std::string& out);
 
 /// Everything a relaunched supervisor needs to know about prior progress,

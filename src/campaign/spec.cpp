@@ -125,18 +125,9 @@ void expand_block(const GridBlock& block, const CampaignSpec& spec,
 
 std::vector<Cell> expand_grid(const CampaignSpec& spec) {
   std::vector<Cell> cells;
-  if (!spec.blocks.empty()) {
-    for (const GridBlock& block : spec.blocks) {
-      expand_block(block, spec, cells);
-    }
-    return cells;
+  for (const GridBlock& block : spec.blocks) {
+    expand_block(block, spec, cells);
   }
-  // Legacy single-block axes (the CLI's --targets/--rounds-list/--archs).
-  GridBlock block;
-  block.targets = spec.targets;
-  block.rounds = spec.rounds;
-  block.archs = spec.archs;
-  expand_block(block, spec, cells);
   return cells;
 }
 

@@ -63,11 +63,7 @@ struct GridBlock {
 
 struct CampaignSpec {
   std::string name = "campaign";
-  std::vector<std::string> targets;  ///< legacy single-block axes (CLI flags)
-  std::vector<int> rounds;
-  std::vector<std::string> archs;
-  /// Declarative grid blocks (spec files).  When non-empty these replace
-  /// the legacy axes above; expand_grid() concatenates the blocks in order.
+  /// The grid: expand_grid() concatenates the blocks' cells in order.
   std::vector<GridBlock> blocks;
   /// Everything the grid axes don't override (budgets, epochs, threads...).
   core::ExperimentConfig base;
@@ -84,11 +80,10 @@ struct Cell {
   core::ExperimentConfig config;
 };
 
-/// Expand the grid, deriving each cell's seed and id.  Legacy axes expand
-/// row-major target > rounds > arch; spec-file blocks expand in block order,
-/// each row-major target > rounds > arch > diff_site > diff_set > budget,
-/// with cell indices global across blocks.  Empty axes fall back to the
-/// base config's value.
+/// Expand the grid, deriving each cell's seed and id.  Blocks expand in
+/// order, each row-major target > rounds > arch > diff_site > diff_set >
+/// budget, with cell indices global across blocks.  Empty axes fall back to
+/// the base config's value.
 std::vector<Cell> expand_grid(const CampaignSpec& spec);
 
 /// The stable cell id for `config` (CRC-32 of its JSON with checkpoint_path

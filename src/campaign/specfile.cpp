@@ -5,9 +5,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <utility>
+#include <string_view>
+#include <system_error>
 
 #include "core/targets.hpp"
+#include "util/json.hpp"
 
 namespace mldist::campaign {
 
@@ -19,235 +21,10 @@ SpecError::SpecError(const std::string& origin, int line,
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal JSON DOM with per-node source lines.  Numbers keep their raw
-// text so 64-bit integers survive exactly (no double round-trip).
-// ---------------------------------------------------------------------------
+using util::json::Value;
 
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  int line = 1;
-  bool boolean = false;
-  std::string text;  // string contents or raw number text
-  std::vector<Value> items;
-  std::vector<std::pair<std::string, Value>> members;
-
-  const char* kind_name() const {
-    switch (kind) {
-      case Kind::kNull: return "null";
-      case Kind::kBool: return "a boolean";
-      case Kind::kNumber: return "a number";
-      case Kind::kString: return "a string";
-      case Kind::kArray: return "an array";
-      case Kind::kObject: return "an object";
-    }
-    return "a value";
-  }
-};
-
-class Parser {
- public:
-  Parser(const std::string& text, const std::string& origin)
-      : text_(text), origin_(origin) {}
-
-  Value parse() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ < text_.size()) fail("trailing content after the spec object");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw SpecError(origin_, line_, message);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (c == ' ' || c == '\t' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of spec");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    const char c = peek();
-    Value v;
-    v.line = line_;
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"':
-        v.kind = Value::Kind::kString;
-        v.text = parse_string();
-        return v;
-      case 't':
-      case 'f':
-        v.kind = Value::Kind::kBool;
-        v.boolean = c == 't';
-        expect_word(c == 't' ? "true" : "false");
-        return v;
-      case 'n':
-        v.kind = Value::Kind::kNull;
-        expect_word("null");
-        return v;
-      default:
-        if (c == '-' || (c >= '0' && c <= '9')) {
-          v.kind = Value::Kind::kNumber;
-          v.text = parse_number();
-          return v;
-        }
-        fail(std::string("unexpected character '") + c + "'");
-    }
-  }
-
-  void expect_word(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        fail(std::string("expected '") + word + "'");
-      }
-      ++pos_;
-    }
-  }
-
-  std::string parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const auto digits = [&] {
-      const std::size_t d = pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-      if (pos_ == d) fail("malformed number");
-    };
-    digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      digits();
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\n') fail("unterminated string");
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated string escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default:
-            fail(std::string("unsupported string escape '\\") + e + "'");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    v.line = line_;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    v.line = line_;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      if (peek() != '"') fail("expected a quoted object key");
-      const int key_line = line_;
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      Value member = parse_value();
-      member.line = member.kind == Value::Kind::kObject ||
-                            member.kind == Value::Kind::kArray
-                        ? member.line
-                        : key_line;
-      v.members.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  const std::string& text_;
-  const std::string& origin_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Schema mapping
-// ---------------------------------------------------------------------------
-
+/// Walks the util::json DOM into a CampaignSpec.  Errors report each
+/// value's DOM line: a scalar member's key line, a container's first line.
 class Mapper {
  public:
   explicit Mapper(const std::string& origin) : origin_(origin) {}
@@ -310,28 +87,34 @@ class Mapper {
   }
 
   std::uint64_t as_u64(const Value& v, const std::string& key) const {
-    // Accept JSON integers and (for masks) hex strings like "0x40".
-    const std::string* raw = nullptr;
-    if (v.kind == Value::Kind::kNumber) {
-      if (v.text.find_first_of(".eE-") != std::string::npos) {
-        throw SpecError(origin_, v.line,
-                        "\"" + key + "\" must be a non-negative integer, got " +
-                            v.text);
-      }
-      raw = &v.text;
-    } else if (v.kind == Value::Kind::kString) {
-      raw = &v.text;
-    } else {
+    // JSON integers, decimal strings and (for masks) hex strings like
+    // "0x40"; no sign, no whitespace, no leading zero, no wrap-around.
+    if (v.kind == Value::Kind::kNumber &&
+        v.text.find_first_of(".eE-") != std::string::npos) {
+      throw SpecError(origin_, v.line,
+                      "\"" + key + "\" must be a non-negative integer, got " +
+                          v.text);
+    }
+    if (v.kind != Value::Kind::kNumber && v.kind != Value::Kind::kString) {
       throw SpecError(origin_, v.line,
                       "\"" + key + "\" must be an integer or a hex string, "
                       "got " + std::string(v.kind_name()));
     }
-    char* end = nullptr;
-    const std::uint64_t out = std::strtoull(raw->c_str(), &end, 0);
-    if (raw->empty() || end == nullptr || *end != '\0') {
+    const std::string_view raw = v.text;
+    const bool hex = v.kind == Value::Kind::kString && raw.size() > 2 &&
+                     raw[0] == '0' && (raw[1] == 'x' || raw[1] == 'X');
+    std::uint64_t out = 0;
+    const std::errc ec =
+        util::json::parse_u64(hex ? raw.substr(2) : raw, out, hex ? 16 : 10);
+    if (ec == std::errc::result_out_of_range) {
       throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is not a valid integer: \"" + *raw +
-                          "\"");
+                      "\"" + key + "\" is out of range (above 2^64-1): " +
+                          v.text);
+    }
+    if (ec != std::errc()) {
+      throw SpecError(origin_, v.line,
+                      "\"" + key + "\" is not a valid integer: \"" + v.text +
+                          "\" (decimal digits or a 0x hex string)");
     }
     return out;
   }
@@ -512,8 +295,11 @@ class Mapper {
 
 CampaignSpec parse_spec_text(const std::string& text,
                              const std::string& origin) {
-  Parser parser(text, origin);
-  const Value root = parser.parse();
+  Value root;
+  util::json::Error error;
+  if (!util::json::parse(text, root, &error)) {
+    throw SpecError(origin, error.line, error.message);
+  }
   Mapper mapper(origin);
   return mapper.map(root);
 }

@@ -4,10 +4,10 @@
 // per-block hyper-parameter overrides (see examples/paper_grid.json and
 // EXPERIMENTS.md for the schema walkthrough).
 //
-// This is deliberately the repo's only JSON *parser*.  util::json stays a
-// builder: artifacts are write-only, but a spec file is human-authored
-// input, so errors must carry file/line context ("paper_grid.json:17:
-// unknown key 'epoch' in overrides ...") instead of a byte offset.
+// The text goes through util::json, the repo's one JSON reader; this file
+// maps its DOM onto the schema.  A spec file is human-authored input, so
+// every error carries file:line ("paper_grid.json:17: unknown key 'epoch'
+// in overrides ...") instead of a byte offset.
 #pragma once
 
 #include <stdexcept>

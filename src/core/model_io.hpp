@@ -7,9 +7,8 @@
 // role the paper's ".h5" files play between the offline and online phases.
 //
 // Format: "MLDM1\n<arch>\n<input_bits> <classes>\n" followed by the
-// nn::save_params payload (which ends in a CRC-32 footer; corruption of the
-// tensor data is detected at load time, legacy footer-less files load with
-// a warning).
+// nn::save_params payload (which ends in a CRC-32 footer, so corruption or
+// truncation of the tensor data is detected at load time).
 #pragma once
 
 #include <memory>

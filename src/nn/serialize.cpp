@@ -7,24 +7,19 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/log.hpp"
 #include "util/crc32.hpp"
 
 namespace mldist::nn {
 
 namespace {
-// NNB2 = NNB1 plus a uint32 graph-topology hash right after the magic
-// (Sequential::topology_hash(): CRC-32 over the lowered inference graph's
-// op kinds, edges, and shapes).  Tensor count/shape checks catch most
-// architecture mismatches by accident; the hash pins the structure itself,
-// so e.g. two different layer orders with identical parameter shapes can
-// no longer swap files.  NNB1 files load with a warning.
+// The uint32 after the magic is Sequential::topology_hash(): CRC-32 over
+// the lowered inference graph's op kinds, edges, and shapes.  Tensor
+// count/shape checks catch most architecture mismatches by accident; the
+// hash pins the structure itself, so e.g. two different layer orders with
+// identical parameter shapes cannot swap files.
 constexpr char kMagic[4] = {'N', 'N', 'B', '2'};
-constexpr char kLegacyMagic[4] = {'N', 'N', 'B', '1'};
 // CRC footer appended after the tensors: kCrcMagic + uint32 CRC-32 of every
-// payload byte before the footer.  Legacy files simply end at the last
-// tensor; load_params tolerates the missing footer (with a warning) so
-// pre-footer model files keep loading.
+// payload byte before the footer.
 constexpr char kCrcMagic[4] = {'C', 'R', 'C', '1'};
 }
 
@@ -59,24 +54,18 @@ void load_params(Sequential& model, std::istream& in) {
   };
   char magic[4];
   get(magic, sizeof(magic));
-  if (!in) throw std::runtime_error("load_params: bad magic");
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) {
-    std::uint32_t topo = 0;
-    get(&topo, sizeof(topo));
-    if (!in) throw std::runtime_error("load_params: truncated stream");
-    const std::uint32_t expect = model.topology_hash();
-    if (topo != expect) {
-      throw std::runtime_error(
-          "load_params: model topology mismatch (file graph hash " +
-          std::to_string(topo) + ", model graph hash " +
-          std::to_string(expect) + ")");
-    }
-  } else if (std::memcmp(magic, kLegacyMagic, sizeof(kLegacyMagic)) == 0) {
-    obs::log_warn("nn.serialize",
-                  "load_params: warning: no graph-topology hash (legacy "
-                  "NNB1 model file); architecture not verified");
-  } else {
+  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("load_params: bad magic");
+  }
+  std::uint32_t topo = 0;
+  get(&topo, sizeof(topo));
+  if (!in) throw std::runtime_error("load_params: truncated stream");
+  const std::uint32_t expect = model.topology_hash();
+  if (topo != expect) {
+    throw std::runtime_error(
+        "load_params: model topology mismatch (file graph hash " +
+        std::to_string(topo) + ", model graph hash " +
+        std::to_string(expect) + ")");
   }
   std::uint32_t count = 0;
   get(&count, sizeof(count));
@@ -93,17 +82,10 @@ void load_params(Sequential& model, std::istream& in) {
     get(p.value, size * sizeof(float));
     if (!in) throw std::runtime_error("load_params: truncated stream");
   }
-  // Integrity footer.  A clean end-of-stream here is a legacy (pre-CRC)
-  // file: warn but accept.  Anything else must be a valid footer whose
-  // checksum matches the payload just read.
+  // Integrity footer: must be present, and its checksum must match the
+  // payload just read.
   char footer[4];
   in.read(footer, sizeof(footer));
-  if (in.gcount() == 0) {
-    obs::log_warn("nn.serialize",
-                  "load_params: warning: no CRC32 footer (legacy model "
-                  "file); integrity not verified");
-    return;
-  }
   if (in.gcount() != sizeof(footer) ||
       std::memcmp(footer, kCrcMagic, sizeof(kCrcMagic)) != 0) {
     throw std::runtime_error(

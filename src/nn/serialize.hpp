@@ -5,10 +5,11 @@
 // format holding every parameter tensor in layer order.  Loading requires a
 // structurally identical model (same layer stack); shapes are verified.
 //
-// Format: magic "NNB1" | u32 tensor_count | per tensor: u64 size | f32[size]
-//         | footer "CRC1" | u32 crc32-of-payload.
-// The CRC-32 footer (util/crc32) detects on-disk corruption at load time;
-// legacy files without the footer still load, with a warning on stderr.
+// Format: magic "NNB2" | u32 topology hash | u32 tensor_count | per tensor:
+//         u64 size | f32[size] | footer "CRC1" | u32 crc32-of-payload.
+// load_params rejects a file whose magic, topology hash, tensor shapes or
+// CRC-32 footer (util/crc32) do not match, including one cut short at any
+// byte.
 #pragma once
 
 #include <iosfwd>

@@ -1,10 +1,13 @@
 #include "obs/trace_merge.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "obs/manifest.hpp"
 #include "util/json.hpp"
@@ -24,64 +27,6 @@ bool read_file(const std::string& path, std::string& out) {
   return static_cast<bool>(in);
 }
 
-/// Index just past the closing quote of the string starting at `i` (which
-/// must point at the opening quote), honouring backslash escapes.  Returns
-/// npos on an unterminated string.
-std::size_t skip_string(const std::string& text, std::size_t i) {
-  for (++i; i < text.size(); ++i) {
-    if (text[i] == '\\') {
-      ++i;
-    } else if (text[i] == '"') {
-      return i + 1;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Index of the bracket closing the one at `open` ('[' or '{'), skipping
-/// strings.  npos when unbalanced.
-std::size_t match_bracket(const std::string& text, std::size_t open) {
-  const char up = text[open];
-  const char down = up == '[' ? ']' : '}';
-  int depth = 0;
-  for (std::size_t i = open; i < text.size();) {
-    const char c = text[i];
-    if (c == '"') {
-      i = skip_string(text, i);
-      if (i == std::string::npos) return std::string::npos;
-      continue;
-    }
-    if (c == up) ++depth;
-    if (c == down && --depth == 0) return i;
-    ++i;
-  }
-  return std::string::npos;
-}
-
-/// Parse the decimal u64 at `i`, advancing it past the digits.  False when
-/// no digit is present.
-bool parse_u64_at(const std::string& text, std::size_t& i, std::uint64_t& out) {
-  if (i >= text.size() || text[i] < '0' || text[i] > '9') return false;
-  out = 0;
-  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-    out = out * 10 + static_cast<std::uint64_t>(text[i] - '0');
-    ++i;
-  }
-  return true;
-}
-
-/// The u64 value of `"key":<digits>` inside `text` (first occurrence).
-/// Safe on trace files because obs/trace renders these keys with numeric
-/// values at the top level of their objects.  False when absent.
-bool find_u64_field(const std::string& text, const std::string& key,
-                    std::uint64_t& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + needle.size();
-  return parse_u64_at(text, i, out);
-}
-
 /// Microseconds with the sub-µs kept as three decimals — the same rendering
 /// obs/trace uses, so a merged file round-trips through another merge.
 std::string us_string(std::uint64_t ns) {
@@ -92,60 +37,91 @@ std::string us_string(std::uint64_t ns) {
   return buf;
 }
 
+/// A trace "ts" (JSON number text, µs) in ns; digits past the third
+/// decimal are dropped.  False for a sign or an exponent.
+bool us_to_ns(std::string_view us, std::uint64_t& ns) {
+  if (us.find_first_of("-eE") != std::string_view::npos) return false;
+  const std::size_t dot = std::min(us.find('.'), us.size());
+  std::uint64_t whole = 0;
+  if (util::json::parse_u64(us.substr(0, dot), whole) != std::errc() ||
+      whole > UINT64_MAX / 1000) {
+    return false;
+  }
+  ns = whole * 1000;
+  std::uint64_t scale = 100;
+  for (std::size_t i = dot + 1; i < us.size() && scale > 0; ++i) {
+    ns += static_cast<std::uint64_t>(us[i] - '0') * scale;
+    scale /= 10;
+  }
+  return true;
+}
+
+/// One event row: its bytes verbatim plus where its "pid" and "ts" values
+/// sit in them, so rebasing splices those two spans and copies every other
+/// byte unchanged.
+struct Row {
+  std::string text;
+  std::size_t pid_begin = 0, pid_end = 0;  ///< empty span: no "pid"
+  std::size_t ts_begin = 0, ts_end = 0;    ///< empty span: "ts" not rebased
+  std::uint64_t ts_ns = 0;
+};
+
 struct ParsedLane {
   std::string label;                 ///< input file stem, lane display name
   std::uint64_t epoch_ns = 0;        ///< otherData.trace_epoch_ns
   std::uint64_t dropped = 0;         ///< otherData.dropped_events
-  std::vector<std::string> events;   ///< "X" rows, verbatim object text
+  std::vector<Row> events;           ///< non-metadata rows
 };
 
-/// Extract the event rows and otherData fields of one obs/trace file.
+/// Read the event rows and otherData fields of one obs/trace file.
 bool parse_trace_file(const std::string& path, ParsedLane& lane,
                       std::string* error) {
+  using util::json::Value;
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = path + ": " + why;
+    return false;
+  };
   std::string text;
-  if (!read_file(path, text)) {
-    if (error != nullptr) *error = path + ": unreadable";
-    return false;
+  if (!read_file(path, text)) return fail("unreadable");
+  Value doc;
+  util::json::Error parse_error;
+  if (!util::json::parse(text, doc, &parse_error)) {
+    return fail(parse_error.str());
   }
-  const std::size_t key = text.find("\"traceEvents\":");
-  const std::size_t open = key == std::string::npos
-                               ? std::string::npos
-                               : text.find('[', key);
-  if (open == std::string::npos) {
-    if (error != nullptr) *error = path + ": no traceEvents array";
-    return false;
+  const Value* events = doc.find("traceEvents");
+  if (events == nullptr || events->kind != Value::Kind::kArray) {
+    return fail("no traceEvents array");
   }
-  const std::size_t close = match_bracket(text, open);
-  if (close == std::string::npos) {
-    if (error != nullptr) *error = path + ": unbalanced traceEvents array";
-    return false;
+  const Value* other = doc.find("otherData");
+  const Value* epoch =
+      other != nullptr ? other->find("trace_epoch_ns") : nullptr;
+  if (epoch == nullptr || !epoch->as_u64(lane.epoch_ns)) {
+    return fail("no otherData.trace_epoch_ns");
   }
-  // Split the array into its top-level objects.
-  for (std::size_t i = open + 1; i < close;) {
-    if (text[i] != '{') {
-      ++i;
+  if (const Value* dropped = other->find("dropped_events")) {
+    dropped->as_u64(lane.dropped);  // optional
+  }
+  for (const Value& event : events->items) {
+    if (event.kind != Value::Kind::kObject) continue;
+    // Metadata rows are re-authored per lane by the merger.
+    const Value* ph = event.find("ph");
+    if (ph != nullptr && ph->kind == Value::Kind::kString && ph->text == "M") {
       continue;
     }
-    const std::size_t end = match_bracket(text, i);
-    if (end == std::string::npos || end > close) {
-      if (error != nullptr) *error = path + ": unbalanced event object";
-      return false;
+    Row row;
+    row.text = std::string(event.span(text));
+    if (const Value* pid = event.find("pid")) {
+      row.pid_begin = pid->begin - event.begin;
+      row.pid_end = pid->end - event.begin;
     }
-    std::string row = text.substr(i, end - i + 1);
-    // Metadata rows are re-authored per lane by the merger.
-    if (row.find("\"ph\":\"M\"") == std::string::npos) {
-      lane.events.push_back(std::move(row));
+    const Value* ts = event.find("ts");
+    if (ts != nullptr && ts->kind == Value::Kind::kNumber &&
+        us_to_ns(ts->text, row.ts_ns)) {
+      row.ts_begin = ts->begin - event.begin;
+      row.ts_end = ts->end - event.begin;
     }
-    i = end + 1;
+    lane.events.push_back(std::move(row));
   }
-  // otherData lives after the array in obs/trace output, so searching the
-  // tail cannot hit an event's args.
-  const std::string tail = text.substr(close);
-  if (!find_u64_field(tail, "trace_epoch_ns", lane.epoch_ns)) {
-    if (error != nullptr) *error = path + ": no otherData.trace_epoch_ns";
-    return false;
-  }
-  find_u64_field(tail, "dropped_events", lane.dropped);  // optional
   std::string stem = fs::path(path).filename().string();
   if (const std::size_t dot = stem.find(".trace.json");
       dot != std::string::npos) {
@@ -157,37 +133,25 @@ bool parse_trace_file(const std::string& path, ParsedLane& lane,
 
 /// Rewrite one event row for its lane: "pid" becomes the lane number and
 /// "ts" is shifted from the file's local epoch onto the common one.
-std::string rebase_event(const std::string& row, std::size_t lane,
+std::string rebase_event(const Row& row, std::size_t lane,
                          std::uint64_t offset_ns) {
-  std::string out = row;
-  // "pid":<digits> -> "pid":<lane>
-  const std::string pid_key = "\"pid\":";
-  if (std::size_t pos = out.find(pid_key); pos != std::string::npos) {
-    std::size_t i = pos + pid_key.size();
-    std::uint64_t old_pid = 0;
-    if (parse_u64_at(out, i, old_pid)) {
-      out.replace(pos + pid_key.size(), i - (pos + pid_key.size()),
-                  std::to_string(lane));
-    }
+  struct Splice {
+    std::size_t begin, end;
+    std::string with;
+  };
+  std::vector<Splice> splices;
+  if (row.pid_end > row.pid_begin) {
+    splices.push_back({row.pid_begin, row.pid_end, std::to_string(lane)});
   }
-  if (offset_ns == 0) return out;
-  // "ts":<us>.<3 digits> -> same, shifted by offset_ns.
-  const std::string ts_key = "\"ts\":";
-  if (std::size_t pos = out.find(ts_key); pos != std::string::npos) {
-    std::size_t i = pos + ts_key.size();
-    std::uint64_t us = 0;
-    if (parse_u64_at(out, i, us)) {
-      std::uint64_t frac = 0;
-      std::size_t end = i;
-      if (end < out.size() && out[end] == '.') {
-        ++end;
-        parse_u64_at(out, end, frac);
-      }
-      const std::uint64_t ns = us * 1000 + frac + offset_ns;
-      out.replace(pos + ts_key.size(), end - (pos + ts_key.size()),
-                  us_string(ns));
-    }
+  if (offset_ns != 0 && row.ts_end > row.ts_begin) {
+    splices.push_back({row.ts_begin, row.ts_end,
+                       us_string(row.ts_ns + offset_ns)});
   }
+  // Back to front, so each splice leaves the earlier spans' offsets valid.
+  std::sort(splices.begin(), splices.end(),
+            [](const Splice& a, const Splice& b) { return a.begin > b.begin; });
+  std::string out = row.text;
+  for (const Splice& s : splices) out.replace(s.begin, s.end - s.begin, s.with);
   return out;
 }
 
@@ -249,7 +213,7 @@ bool merge_trace_files(const std::vector<std::string>& inputs,
     meta.raw("args", meta_args.str());
     rows.push_back(meta.str());
     const std::uint64_t offset = lane.epoch_ns - epoch;
-    for (const std::string& row : lane.events) {
+    for (const Row& row : lane.events) {
       rows.push_back(rebase_event(row, pid, offset));
     }
     dropped += lane.dropped;

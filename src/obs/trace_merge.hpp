@@ -19,11 +19,11 @@
 //   * otherData carries the summed dropped_events, the lane count and the
 //     common epoch.
 //
-// Parsing stance: the library still builds JSON rather than parsing it
-// (util/json is a builder); like campaign/journal's replay this module does
-// consumer-side extraction over text this repo itself wrote — quote-aware
-// balanced-bracket scanning, not a DOM — and rejects files that do not look
-// like obs/trace output.
+// Each input goes through util::json, the repo's one JSON reader.  Event
+// rows are copied from their source spans with only the "pid" and "ts"
+// values spliced, so every other byte of a row survives the merge
+// unchanged; a file that does not parse, or lacks traceEvents or
+// otherData.trace_epoch_ns, is skipped.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -15,112 +14,58 @@ namespace mldist::serve {
 
 namespace {
 
-/// Scanner for the fixed request shape.  Not a general JSON DOM (the spec
-/// parser in src/campaign stays the repo's only one of those): it accepts
-/// {"model": string, "inputs": [string, ...]} with arbitrary whitespace and
-/// key order, and nothing else.
-class RequestScanner {
- public:
-  explicit RequestScanner(const std::string& text) : text_(text) {}
-
-  bool parse(ClassifyRequest* out, std::string* error) {
-    skip_ws();
-    if (!consume('{')) return fail(error, "expected a JSON object");
-    bool have_model = false;
-    bool have_inputs = false;
-    skip_ws();
-    if (consume('}')) return fail(error, "empty request object");
-    while (true) {
-      std::string key;
-      if (!parse_string(&key)) return fail(error, "expected a string key");
-      skip_ws();
-      if (!consume(':')) return fail(error, "expected ':' after key");
-      skip_ws();
-      if (key == "model") {
-        if (have_model) return fail(error, "duplicate \"model\" key");
-        if (!parse_string(&out->model)) {
-          return fail(error, "\"model\" must be a string");
-        }
-        have_model = true;
-      } else if (key == "inputs") {
-        if (have_inputs) return fail(error, "duplicate \"inputs\" key");
-        if (!consume('[')) {
-          return fail(error, "\"inputs\" must be an array of hex strings");
-        }
-        skip_ws();
-        if (!consume(']')) {
-          while (true) {
-            std::string item;
-            if (!parse_string(&item)) {
-              return fail(error, "\"inputs\" must be an array of hex strings");
-            }
-            out->inputs_hex.push_back(std::move(item));
-            skip_ws();
-            if (consume(']')) break;
-            if (!consume(',')) return fail(error, "expected ',' or ']'");
-            skip_ws();
-          }
-        }
-        have_inputs = true;
-      } else {
-        return fail(error, "unknown key \"" + key +
-                               "\" (expected \"model\" and \"inputs\")");
-      }
-      skip_ws();
-      if (consume('}')) break;
-      if (!consume(',')) return fail(error, "expected ',' or '}'");
-      skip_ws();
-    }
-    skip_ws();
-    if (pos_ != text_.size()) return fail(error, "trailing content");
-    if (!have_model) return fail(error, "missing \"model\"");
-    if (!have_inputs || out->inputs_hex.empty()) {
-      return fail(error, "missing or empty \"inputs\"");
-    }
-    return true;
-  }
-
- private:
-  static bool fail(std::string* error, std::string message) {
-    if (error != nullptr) *error = std::move(message);
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string* out) {
-    skip_ws();
-    if (!consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') return false;  // model names / hex need none
-      *out += text_[pos_++];
-    }
-    return consume('"');
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+bool fail(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return false;
+}
 
 }  // namespace
 
 bool parse_classify_request(const std::string& body, ClassifyRequest* out,
                             std::string* error) {
-  return RequestScanner(body).parse(out, error);
+  using util::json::Value;
+  Value root;
+  util::json::Error parse_error;
+  if (!util::json::parse(body, root, &parse_error)) {
+    const std::size_t first = body.find_first_not_of(" \t\r\n");
+    if (first == std::string::npos || body[first] != '{') {
+      return fail(error, "expected a JSON object");
+    }
+    return fail(error, "malformed JSON at " + parse_error.str());
+  }
+  if (root.kind != Value::Kind::kObject) {
+    return fail(error, "expected a JSON object");
+  }
+  if (root.members.empty()) return fail(error, "empty request object");
+  bool have_model = false;
+  bool have_inputs = false;
+  for (auto& [key, value] : root.members) {
+    if (key == "model") {
+      if (have_model) return fail(error, "duplicate \"model\" key");
+      if (value.kind != Value::Kind::kString) {
+        return fail(error, "\"model\" must be a string");
+      }
+      out->model = std::move(value.text);
+      have_model = true;
+    } else if (key == "inputs") {
+      if (have_inputs) return fail(error, "duplicate \"inputs\" key");
+      const char* const want = "\"inputs\" must be an array of hex strings";
+      if (value.kind != Value::Kind::kArray) return fail(error, want);
+      for (Value& item : value.items) {
+        if (item.kind != Value::Kind::kString) return fail(error, want);
+        out->inputs_hex.push_back(std::move(item.text));
+      }
+      have_inputs = true;
+    } else {
+      return fail(error, "unknown key \"" + key +
+                             "\" (expected \"model\" and \"inputs\")");
+    }
+  }
+  if (!have_model) return fail(error, "missing \"model\"");
+  if (!have_inputs || out->inputs_hex.empty()) {
+    return fail(error, "missing or empty \"inputs\"");
+  }
+  return true;
 }
 
 bool decode_inputs(const std::vector<std::string>& inputs_hex,

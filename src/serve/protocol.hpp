@@ -18,10 +18,10 @@
 // batch-size-1 serving return byte-identical bodies (pinned by
 // bench/serving_saturation.cpp).
 //
-// The request parser is a purpose-built reader for exactly this shape —
-// the serving plane's input is machine-generated, so unknown keys are
-// rejected rather than skipped (fail loudly beats serving a request whose
-// options were silently ignored).
+// Requests are read with util::json, then checked against exactly this
+// shape — the serving plane's input is machine-generated, so unknown keys
+// are rejected rather than skipped (fail loudly beats serving a request
+// whose options were silently ignored).
 #pragma once
 
 #include <string>

@@ -3,7 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -239,190 +240,350 @@ WriteResult append_jsonl(const std::string& path, const std::string& line) {
   return {};
 }
 
+namespace json {
+
 namespace {
 
-/// Recursive-descent well-formedness check over `s` starting at `i`.
-/// Grammar per RFC 8259; no value materialisation.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
+/// Thrown inside the parser only; parse() turns it into an Error.
+struct Failure {
+  std::string message;
+  std::size_t offset;
+};
 
-  bool run(std::string* error) {
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xc0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xe0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  } else {
+    out += static_cast<char>(0xf0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (cp & 0x3f));
+  }
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Recursive descent over RFC 8259 with line tracking.  Raw newlines can
+/// only appear in whitespace (strings reject them), so counting them in
+/// skip_ws() keeps `line_` exact.
+class Parser {
+ public:
+  explicit Parser(std::string_view text) : text_(text) {}
+
+  void parse(Value& out) {
+    parse_value(out, 0);
     skip_ws();
-    if (!value(0)) {
-      if (error != nullptr) *error = fail_;
-      return false;
-    }
-    skip_ws();
-    if (i_ != s_.size()) {
-      if (error != nullptr) {
-        *error = "trailing data at offset " + std::to_string(i_);
-      }
-      return false;
-    }
-    return true;
+    if (pos_ < text_.size()) fail("trailing content after the JSON value");
   }
 
  private:
-  static constexpr int kMaxDepth = 256;
-
-  bool err(const std::string& what) {
-    if (fail_.empty()) {
-      fail_ = what + " at offset " + std::to_string(i_);
-    }
-    return false;
+  [[noreturn]] void fail(std::string message) const {
+    fail_at(pos_, std::move(message));
+  }
+  [[noreturn]] static void fail_at(std::size_t offset, std::string message) {
+    throw Failure{std::move(message), offset};
   }
 
   void skip_ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
-                              s_[i_] == '\n' || s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  bool eat(char c) {
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return err(std::string("expected '") + c + "'");
-  }
-
-  bool literal(std::string_view word) {
-    if (s_.substr(i_, word.size()) == word) {
-      i_ += word.size();
-      return true;
-    }
-    return err("invalid literal");
-  }
-
-  bool string() {
-    if (!eat('"')) return false;
-    while (i_ < s_.size()) {
-      const unsigned char c = static_cast<unsigned char>(s_[i_]);
-      if (c == '"') {
-        ++i_;
-        return true;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c == '\n') {
+        ++line_;
+      } else if (c != ' ' && c != '\t' && c != '\r') {
+        break;
       }
-      if (c < 0x20) return err("unescaped control character in string");
-      if (c == '\\') {
-        ++i_;
-        if (i_ >= s_.size()) return err("truncated escape");
-        const char e = s_[i_];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (i_ + k >= s_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(s_[i_ + k]))) {
-              return err("bad \\u escape");
-            }
-          }
-          i_ += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return err("bad escape");
-        }
-      }
-      ++i_;
+      ++pos_;
     }
-    return err("unterminated string");
   }
 
-  bool number() {
-    const std::size_t start = i_;
-    if (i_ < s_.size() && s_[i_] == '-') ++i_;
-    if (i_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-      return err("bad number");
-    }
-    if (s_[i_] == '0') {
-      ++i_;
-    } else {
-      while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_])))
-        ++i_;
-    }
-    if (i_ < s_.size() && s_[i_] == '.') {
-      ++i_;
-      if (i_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[i_])))
-        return err("bad fraction");
-      while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_])))
-        ++i_;
-    }
-    if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
-      ++i_;
-      if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
-      if (i_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[i_])))
-        return err("bad exponent");
-      while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_])))
-        ++i_;
-    }
-    return i_ > start;
+  char peek() const {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
   }
 
-  bool value(int depth) {
-    if (depth > kMaxDepth) return err("nesting too deep");
-    if (i_ >= s_.size()) return err("unexpected end of input");
-    switch (s_[i_]) {
-      case '{': {
-        ++i_;
-        skip_ws();
-        if (i_ < s_.size() && s_[i_] == '}') {
-          ++i_;
-          return true;
-        }
-        for (;;) {
-          skip_ws();
-          if (!string()) return false;
-          skip_ws();
-          if (!eat(':')) return false;
-          skip_ws();
-          if (!value(depth + 1)) return false;
-          skip_ws();
-          if (i_ < s_.size() && s_[i_] == ',') {
-            ++i_;
-            continue;
-          }
-          return eat('}');
-        }
-      }
-      case '[': {
-        ++i_;
-        skip_ws();
-        if (i_ < s_.size() && s_[i_] == ']') {
-          ++i_;
-          return true;
-        }
-        for (;;) {
-          skip_ws();
-          if (!value(depth + 1)) return false;
-          skip_ws();
-          if (i_ < s_.size() && s_[i_] == ',') {
-            ++i_;
-            continue;
-          }
-          return eat(']');
-        }
-      }
+  /// Parse one value into `v`, which must be default-constructed.
+  void parse_value(Value& v, int depth) {
+    skip_ws();
+    const char c = peek();
+    v.line = line_;
+    v.begin = pos_;
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    switch (c) {
+      case '{':
+        parse_object(v, depth + 1);
+        break;
+      case '[':
+        parse_array(v, depth + 1);
+        break;
       case '"':
-        return string();
+        v.kind = Value::Kind::kString;
+        v.text = parse_string();
+        break;
       case 't':
-        return literal("true");
+        v.kind = Value::Kind::kBool;
+        v.boolean = true;
+        expect_word("true");
+        break;
       case 'f':
-        return literal("false");
+        v.kind = Value::Kind::kBool;
+        expect_word("false");
+        break;
       case 'n':
-        return literal("null");
+        expect_word("null");
+        break;
       default:
-        return number();
+        if (c != '-' && !is_digit(c)) {
+          fail(std::string("unexpected character '") + c + "'");
+        }
+        v.kind = Value::Kind::kNumber;
+        v.text = parse_number();
+    }
+    v.end = pos_;
+  }
+
+  void expect_word(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) {
+      fail("expected '" + std::string(word) + "'");
+    }
+    pos_ += word.size();
+  }
+
+  void digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    if (pos_ == start) fail("malformed number");
+  }
+
+  std::string parse_number() {
+    const std::size_t start = pos_;
+    if (text_[pos_] == '-') ++pos_;
+    if (pos_ < text_.size() && text_[pos_] == '0') {
+      ++pos_;
+      if (pos_ < text_.size() && is_digit(text_[pos_])) {
+        fail("leading zero in number");
+      }
+    } else {
+      digits();
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      digits();
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      digits();
+    }
+    return std::string(text_.substr(start, pos_ - start));
+  }
+
+  /// Four hex digits at `pos_`, just past a \u.
+  std::uint32_t hex4() {
+    std::uint64_t cp = 0;
+    if (text_.size() - pos_ < 4 ||
+        parse_u64(text_.substr(pos_, 4), cp, 16) != std::errc()) {
+      fail("malformed \\u escape");
+    }
+    pos_ += 4;
+    return static_cast<std::uint32_t>(cp);
+  }
+
+  /// The one string unescaper: every RFC 8259 escape, with \uXXXX (and
+  /// surrogate pairs) rendered as UTF-8.  `pos_` is at the opening quote.
+  std::string parse_string() {
+    ++pos_;
+    std::string out;
+    while (true) {
+      std::size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+             static_cast<unsigned char>(text_[run]) >= 0x20) {
+        ++run;
+      }
+      out.append(text_.data() + pos_, run - pos_);
+      pos_ = run;
+      const char c = peek_in_string();
+      if (c == '"') {
+        ++pos_;
+        return out;
+      }
+      if (c == '\n') fail("unterminated string");
+      if (c != '\\') fail("unescaped control character in string");
+      const std::size_t escape = pos_++;
+      switch (peek_in_string()) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          ++pos_;
+          std::uint32_t cp = hex4();
+          if (cp >= 0xdc00 && cp <= 0xdfff) {
+            fail_at(escape, "unpaired UTF-16 surrogate in \\u escape");
+          }
+          if (cp >= 0xd800 && cp <= 0xdbff) {
+            if (text_.substr(pos_, 2) != "\\u") {
+              fail_at(escape, "unpaired UTF-16 surrogate in \\u escape");
+            }
+            pos_ += 2;
+            const std::uint32_t low = hex4();
+            if (low < 0xdc00 || low > 0xdfff) {
+              fail_at(escape, "unpaired UTF-16 surrogate in \\u escape");
+            }
+            cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+          }
+          append_utf8(out, cp);
+          continue;
+        }
+        default:
+          fail_at(escape, std::string("invalid string escape '\\") +
+                              text_[pos_] + "'");
+      }
+      ++pos_;
     }
   }
 
-  std::string_view s_;
-  std::size_t i_ = 0;
-  std::string fail_;
+  char peek_in_string() const {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    return text_[pos_];
+  }
+
+  void parse_array(Value& v, int depth) {
+    v.kind = Value::Kind::kArray;
+    ++pos_;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return;
+    }
+    while (true) {
+      parse_value(v.items.emplace_back(), depth);
+      skip_ws();
+      if (peek() == ']') break;
+      if (peek() != ',') fail("expected ',' or ']'");
+      ++pos_;
+    }
+    ++pos_;
+  }
+
+  void parse_object(Value& v, int depth) {
+    v.kind = Value::Kind::kObject;
+    ++pos_;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return;
+    }
+    while (true) {
+      skip_ws();
+      if (peek() != '"') fail("expected a quoted object key");
+      const int key_line = line_;
+      Value& member = v.members.emplace_back(parse_string(), Value()).second;
+      skip_ws();
+      if (peek() != ':') fail("expected ':' after an object key");
+      ++pos_;
+      parse_value(member, depth);
+      if (member.kind != Value::Kind::kObject &&
+          member.kind != Value::Kind::kArray) {
+        member.line = key_line;
+      }
+      skip_ws();
+      if (peek() == '}') break;
+      if (peek() != ',') fail("expected ',' or '}'");
+      ++pos_;
+    }
+    ++pos_;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
 };
 
 }  // namespace
 
+const Value* Value::find(std::string_view key) const {
+  for (const auto& [k, v] : members) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+bool Value::as_u64(std::uint64_t& out) const {
+  return kind == Kind::kNumber && parse_u64(text, out) == std::errc();
+}
+
+const char* Value::kind_name() const {
+  switch (kind) {
+    case Kind::kNull: return "null";
+    case Kind::kBool: return "a boolean";
+    case Kind::kNumber: return "a number";
+    case Kind::kString: return "a string";
+    case Kind::kArray: return "an array";
+    case Kind::kObject: return "an object";
+  }
+  return "a value";
+}
+
+std::string Error::str() const {
+  return std::to_string(line) + ":" + std::to_string(col) + ": " + message;
+}
+
+bool parse(std::string_view text, Value& out, Error* error) {
+  try {
+    Value root;
+    Parser(text).parse(root);
+    out = std::move(root);
+    return true;
+  } catch (const Failure& f) {
+    if (error != nullptr) {
+      const std::size_t offset = std::min(f.offset, text.size());
+      const std::string_view before = text.substr(0, offset);
+      const std::size_t line_start = before.rfind('\n');
+      error->message = f.message;
+      error->offset = offset;
+      error->line = 1 + static_cast<int>(std::count(before.begin(),
+                                                    before.end(), '\n'));
+      error->col = static_cast<int>(
+          line_start == std::string_view::npos ? offset + 1
+                                               : offset - line_start);
+    }
+    return false;
+  }
+}
+
+std::errc parse_u64(std::string_view digits, std::uint64_t& out, int base) {
+  if (digits.empty() || (base == 10 && digits.size() > 1 && digits[0] == '0')) {
+    return std::errc::invalid_argument;
+  }
+  const char* last = digits.data() + digits.size();
+  const auto [end, ec] = std::from_chars(digits.data(), last, out, base);
+  if (ec != std::errc()) return ec;
+  return end == last ? std::errc() : std::errc::invalid_argument;
+}
+
+}  // namespace json
+
 bool json_validate(std::string_view text, std::string* error) {
-  return JsonChecker(text).run(error);
+  json::Value ignored;
+  json::Error parse_error;
+  if (json::parse(text, ignored, &parse_error)) return true;
+  if (error != nullptr) *error = parse_error.str();
+  return false;
 }
 
 }  // namespace mldist::util

@@ -79,10 +79,11 @@ class ScopedEnv {
 campaign::CampaignSpec tiny_spec(int cells) {
   campaign::CampaignSpec spec;
   spec.name = "test-campaign";
-  spec.targets = {"toy"};
-  spec.archs = {"default-mlp"};
-  spec.rounds.clear();
-  for (int r = 1; r <= cells; ++r) spec.rounds.push_back(r);
+  campaign::GridBlock block;
+  block.targets = {"toy"};
+  block.archs = {"default-mlp"};
+  for (int r = 1; r <= cells; ++r) block.rounds.push_back(r);
+  spec.blocks = {block};
   spec.base.epochs = 2;
   spec.base.batch_size = 64;
   spec.base.threads = 1;
@@ -110,11 +111,12 @@ std::map<std::string, std::string> read_history(const std::string& state_dir) {
   std::ifstream in(state_dir + "/history.jsonl");
   std::string line;
   while (in && std::getline(in, line)) {
-    std::string id;
-    std::string payload;
-    if (campaign::extract_json_string(line, "cell", id) &&
-        campaign::extract_json_object(line, "payload", payload)) {
-      out[id] = payload;
+    util::json::Value record;
+    if (!util::json::parse(line, record)) continue;
+    const util::json::Value* id = record.find("cell");
+    const util::json::Value* payload = record.find("payload");
+    if (id != nullptr && payload != nullptr) {
+      out[id->text] = std::string(payload->span(line));
     }
   }
   return out;
@@ -179,15 +181,16 @@ TEST(AppendJsonl, MultiProcessStressKeepsLinesWhole) {
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
   std::string line;
   while (std::getline(in, line)) {
-    std::string err;
-    ASSERT_TRUE(util::json_validate(line, &err)) << err << "\n" << line;
+    util::json::Value record;
+    util::json::Error err;
+    ASSERT_TRUE(util::json::parse(line, record, &err))
+        << err.str() << "\n" << line;
     std::uint64_t w = 0;
     std::uint64_t n = 0;
-    std::string got_pad;
-    ASSERT_TRUE(campaign::extract_json_u64(line, "w", w));
-    ASSERT_TRUE(campaign::extract_json_u64(line, "n", n));
-    ASSERT_TRUE(campaign::extract_json_string(line, "pad", got_pad));
-    ASSERT_EQ(got_pad, pad);
+    ASSERT_TRUE(record.find("w") && record.find("w")->as_u64(w));
+    ASSERT_TRUE(record.find("n") && record.find("n")->as_u64(n));
+    ASSERT_TRUE(record.find("pad"));
+    ASSERT_EQ(record.find("pad")->text, pad);
     ASSERT_TRUE(seen.emplace(w, n).second) << "duplicate " << w << "," << n;
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kWriters) * kLines);
@@ -197,7 +200,7 @@ TEST(AppendJsonl, MultiProcessStressKeepsLinesWhole) {
 
 TEST(CampaignSpec, GridExpansionIsDeterministic) {
   campaign::CampaignSpec spec = tiny_spec(3);
-  spec.targets = {"toy", "speck"};
+  spec.blocks[0].targets = {"toy", "speck"};
   const std::vector<campaign::Cell> a = campaign::expand_grid(spec);
   const std::vector<campaign::Cell> b = campaign::expand_grid(spec);
   ASSERT_EQ(a.size(), 6u);
@@ -315,18 +318,20 @@ TEST(CampaignJournal, ExtractsStringsNumbersAndObjects) {
   EXPECT_EQ(s, "done");
   ASSERT_TRUE(campaign::extract_json_string(line, "note", s));
   EXPECT_EQ(s, "tab\there \xc3\xa9");
+  util::json::Value record;
+  ASSERT_TRUE(util::json::parse(line, record));
   std::uint64_t n = 0;
-  ASSERT_TRUE(campaign::extract_json_u64(line, "index", n));
+  ASSERT_TRUE(record.find("index")->as_u64(n));
   EXPECT_EQ(n, 7u);
-  std::string obj;
-  ASSERT_TRUE(campaign::extract_json_object(line, "payload", obj));
   // Verbatim bytes, braces balanced through nested objects and strings
   // containing brace characters.
-  EXPECT_EQ(obj,
+  EXPECT_EQ(record.find("payload")->span(line),
             R"({"cell":"ab12cd34","nested":{"s":"a}b{"},"n":3})");
   EXPECT_FALSE(campaign::extract_json_string(line, "absent", s));
-  EXPECT_FALSE(campaign::extract_json_u64(line, "cell", n));
-  EXPECT_FALSE(campaign::extract_json_object(line, "telemetry", obj));
+  EXPECT_FALSE(record.find("cell")->as_u64(n));
+  EXPECT_EQ(record.find("telemetry")->kind, util::json::Value::Kind::kNull);
+  // Top-level keys only: "s" exists only inside the payload.
+  EXPECT_FALSE(campaign::extract_json_string(line, "s", s));
 }
 
 TEST(CampaignJournal, ReplayAppliesLaterRecordsOverEarlier) {
@@ -677,8 +682,12 @@ TEST(CampaignTelemetry, ChaosKilledWorkersLeaveValidMergedTrace) {
   EXPECT_TRUE(util::json_validate(text, &error)) << error;
   EXPECT_NE(text.find("\"process_name\""), std::string::npos)
       << "merged trace must name its per-worker lanes";
+  util::json::Value merged;
+  ASSERT_TRUE(util::json::parse(text, merged));
+  const util::json::Value* other = merged.find("otherData");
+  ASSERT_NE(other, nullptr);
   std::uint64_t lanes = 0;
-  ASSERT_TRUE(campaign::extract_json_u64(text, "lanes", lanes));
+  ASSERT_TRUE(other->find("lanes") && other->find("lanes")->as_u64(lanes));
   EXPECT_GE(lanes, 2u)
       << "killed workers' lanes must survive into the merged trace";
 }

@@ -390,15 +390,16 @@ TEST(IrSerialize, TopologyHashRoundTripAndMismatch) {
   }
 }
 
-TEST(IrSerialize, LegacyNnb1FileLoadsWithWarning) {
+TEST(IrSerialize, Nnb1MagicIsRejected) {
   Xoshiro256 rng(13);
   nn::Sequential model;
   model.add(std::make_unique<nn::Dense>(5, 3, rng));
   std::stringstream buf;
   nn::save_params(model, buf);
   const std::string nnb2 = buf.str();
-  // Rebuild the payload in the pre-hash NNB1 layout: old magic, no topology
-  // word, fresh CRC footer over the rewritten payload.
+  // Rebuild the payload in the retired pre-hash NNB1 layout: old magic, no
+  // topology word, fresh CRC footer over the rewritten payload.  Only NNB2
+  // loads now.
   ASSERT_GE(nnb2.size(), 16u);
   std::string payload = "NNB1" + nnb2.substr(8, nnb2.size() - 8 - 8);
   const std::uint32_t crc = util::crc32(payload.data(), payload.size());
@@ -408,10 +409,13 @@ TEST(IrSerialize, LegacyNnb1FileLoadsWithWarning) {
   nn::Sequential same;
   Xoshiro256 rng2(14);
   same.add(std::make_unique<nn::Dense>(5, 3, rng2));
-  nn::load_params(same, legacy);  // warns, must not throw
-  const nn::Mat x = random_input(2, 5, rng);
-  expect_mat_bitwise_equal(same.forward(x, false), model.forward(x, false),
-                           "legacy-load");
+  try {
+    nn::load_params(same, legacy);
+    FAIL() << "NNB1 model file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

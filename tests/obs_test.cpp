@@ -1066,8 +1066,25 @@ TEST(Server, ListenSocketIsNotInheritedBySpawnedChildren) {
   const std::uint16_t port = server.port();
 
   // Child spawned while the server is live: before the fix it inherited
-  // the listen fd across exec.
+  // the listen fd across exec.  spawn_process returns right after fork(),
+  // and until the child execs it holds every fd, close-on-exec ones too —
+  // so wait (bounded) until /proc says the child is running sleep.
   const pid_t child = util::spawn_process({"/bin/sleep", "30"});
+  const std::filesystem::path sleep_bin =
+      std::filesystem::canonical("/bin/sleep");
+  const std::string exe = "/proc/" + std::to_string(child) + "/exe";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::error_code ec;
+  while (std::filesystem::read_symlink(exe, ec) != sleep_bin &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (std::filesystem::read_symlink(exe, ec) != sleep_bin) {
+    util::kill_process(child, SIGKILL);
+    (void)util::wait_child(child);
+    FAIL() << "child never exec'd " << sleep_bin;
+  }
   server.stop();
 
   const int probe = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -260,9 +260,11 @@ TEST(RelatedKey, DiffSiteFlowsThroughWalAndHistory) {
   TempDir dir("wal");
   campaign::CampaignSpec spec;
   spec.name = "rk-wal";
-  spec.targets = {"simon"};
-  spec.rounds = {5};
-  spec.archs = {"default-mlp"};
+  campaign::GridBlock block;
+  block.targets = {"simon"};
+  block.rounds = {5};
+  block.archs = {"default-mlp"};
+  spec.blocks = {block};
   spec.base.diff_site = "related-key";
   spec.base.epochs = 1;
   spec.base.batch_size = 32;

@@ -180,13 +180,17 @@ TEST_F(ModelFileTest, BadMagicIsDetected) {
   }
 }
 
-TEST_F(ModelFileTest, LegacyFileWithoutFooterStillLoads) {
-  // Chopping exactly the 8-byte footer yields a pre-CRC legacy file; it
-  // must load (with a warning), not fail.
+TEST_F(ModelFileTest, FileCutAtFooterIsRejected) {
+  // Chopping exactly the 8-byte footer leaves every tensor intact; the
+  // missing CRC footer alone must fail the load.
   core::truncate_file(path_, std::filesystem::file_size(path_) - 8);
-  const core::LoadedModel loaded = core::load_model(path_);
-  ASSERT_NE(loaded.model, nullptr);
-  EXPECT_EQ(loaded.arch, "default-mlp");
+  try {
+    (void)core::load_model(path_);
+    FAIL() << "footer-less model file loaded silently";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad CRC footer"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- core::FaultyOracle ---------------------------------------------------

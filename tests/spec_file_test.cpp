@@ -173,6 +173,16 @@ TEST(SpecFile, MalformedNumericsAreSpecErrorsNotSilentTruncation) {
                "out of integer range");
   expect_error(with_grid("\"z_threshold\": 1e999"), 3, "out of range");
   expect_error(with_grid("\"learning_rate\": 1e999"), 3, "out of range");
+  // Unsigned fields take decimal digits or a 0x hex string, nothing else:
+  // no sign, no octal, no whitespace, no wrap-around past 2^64-1.
+  expect_error(with_grid("\"games\": \"-1\""), 3, "not a valid integer");
+  expect_error(with_grid("\"games\": 99999999999999999999"), 3,
+               "out of range");
+  expect_error(with_grid("\"diffs\": [\"0x1ffffffffffffffff\"]"), 3,
+               "out of range");
+  expect_error(with_grid("\"games\": 010"), 3, "leading zero");
+  expect_error(with_grid("\"games\": \"010\""), 3, "not a valid integer");
+  expect_error(with_grid("\"games\": \" 7\""), 3, "not a valid integer");
   // In range still parses exactly.
   const CampaignSpec ok = campaign::parse_spec_text(
       with_grid("\"z_threshold\": 2.5"), "spec.json");
@@ -199,6 +209,10 @@ TEST(SpecFile, SyntaxErrorsReportLine) {
   expect_error("{\n \"name\": \"x\",\n}", 3, "expected a quoted object key");
   expect_error("{\n \"name\": \"x\"\n} trailing", 3, "trailing content");
   expect_error("{\n \"name\": \"unterminated\n}", 2, "unterminated string");
+  // Nesting is capped, so a hostile spec cannot recurse the reader off the
+  // stack.
+  expect_error("{\"grid\":" + std::string(1000000, '['), 1,
+               "nesting deeper than 256");
 }
 
 TEST(SpecFile, ValidationCatchesImpossibleCells) {

@@ -11,7 +11,8 @@
 //       baseline file against its pinned metrics.  Exit 1 on any
 //       regression beyond the relative tolerance, 0 otherwise (benches
 //       missing from the history are reported but do not fail the gate —
-//       CI may legitimately run a subset).
+//       CI may legitimately run a subset).  --tolerance is a finite,
+//       non-negative fraction (0.05 = 5%); anything else exits 2.
 //
 //   bench_compare append --bench-json results/BENCH_x.json --name x
 //                        [--history results/history.jsonl]
@@ -29,10 +30,9 @@
 // (seeds, iteration counts, thread counts, manifest fields) is provenance,
 // not performance, and is ignored.
 //
-// The extraction below is a deliberately tiny recursive-descent reader that
-// collects numeric leaves as dotted paths.  It is a consumer-side tool; the
-// library side of the repo still only ever *writes* JSON (util/json.hpp).
-#include <cctype>
+// Each line is read with util::json, the repo's one JSON reader, and its
+// numeric leaves are collected as dotted paths ("fit.seconds",
+// "rows[0].accuracy").
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +41,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
@@ -51,108 +52,7 @@ namespace {
 // numeric-leaf extraction
 // ---------------------------------------------------------------------------
 
-struct Extractor {
-  explicit Extractor(std::string_view t) : text(t) {}
-
-  std::string_view text;
-  std::size_t pos = 0;
-  std::map<std::string, double> leaves;
-  std::map<std::string, std::string> strings;  ///< top-level-ish strings
-  bool ok = true;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    skip_ws();
-    std::string out;
-    if (pos >= text.size() || text[pos] != '"') {
-      ok = false;
-      return out;
-    }
-    ++pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) {
-        const char e = text[pos + 1];
-        if (e == 'n') out += '\n';
-        else if (e == 't') out += '\t';
-        else if (e == 'u') {  // keep the raw escape; paths never need it
-          out += "\\u";
-          pos += 2;
-          continue;
-        } else out += e;
-        pos += 2;
-      } else {
-        out += text[pos++];
-      }
-    }
-    if (pos >= text.size()) ok = false;
-    ++pos;  // closing quote
-    return out;
-  }
-
-  void parse_value(const std::string& path) {
-    skip_ws();
-    if (pos >= text.size()) {
-      ok = false;
-      return;
-    }
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      if (consume('}')) return;
-      do {
-        const std::string key = parse_string();
-        if (!ok || !consume(':')) {
-          ok = false;
-          return;
-        }
-        parse_value(path.empty() ? key : path + "." + key);
-        if (!ok) return;
-      } while (consume(','));
-      if (!consume('}')) ok = false;
-    } else if (c == '[') {
-      ++pos;
-      if (consume(']')) return;
-      int idx = 0;
-      do {
-        parse_value(path + "[" + std::to_string(idx++) + "]");
-        if (!ok) return;
-      } while (consume(','));
-      if (!consume(']')) ok = false;
-    } else if (c == '"') {
-      strings[path] = parse_string();
-    } else if (std::strncmp(text.data() + pos, "true", 4) == 0) {
-      pos += 4;
-    } else if (std::strncmp(text.data() + pos, "false", 5) == 0) {
-      pos += 5;
-    } else if (std::strncmp(text.data() + pos, "null", 4) == 0) {
-      pos += 4;
-    } else {
-      char* end = nullptr;
-      const double v = std::strtod(text.data() + pos, &end);
-      if (end == text.data() + pos) {
-        ok = false;
-        return;
-      }
-      pos = static_cast<std::size_t>(end - text.data());
-      leaves[path] = v;
-    }
-  }
-};
+using mldist::util::json::Value;
 
 struct BenchEntry {
   std::string bench;
@@ -160,17 +60,36 @@ struct BenchEntry {
   std::string run_id;
 };
 
+/// Walk `v` at dotted `path`; later duplicates of a path win.
+void collect(const Value& v, const std::string& path, BenchEntry& out) {
+  switch (v.kind) {
+    case Value::Kind::kObject:
+      for (const auto& [key, member] : v.members) {
+        collect(member, path.empty() ? key : path + "." + key, out);
+      }
+      break;
+    case Value::Kind::kArray:
+      for (std::size_t i = 0; i < v.items.size(); ++i) {
+        collect(v.items[i], path + "[" + std::to_string(i) + "]", out);
+      }
+      break;
+    case Value::Kind::kNumber:
+      out.metrics[path] = std::strtod(v.text.c_str(), nullptr);
+      break;
+    case Value::Kind::kString:
+      if (path == "bench") out.bench = v.text;
+      if (path == "manifest.run_id") out.run_id = v.text;
+      break;
+    default:
+      break;
+  }
+}
+
 bool extract_entry(const std::string& line, BenchEntry& out) {
-  Extractor ex(line);
-  ex.parse_value("");
-  if (!ex.ok) return false;
-  const auto bench_it = ex.strings.find("bench");
-  if (bench_it == ex.strings.end()) return false;
-  out.bench = bench_it->second;
-  out.metrics = std::move(ex.leaves);
-  const auto run_it = ex.strings.find("manifest.run_id");
-  if (run_it != ex.strings.end()) out.run_id = run_it->second;
-  return true;
+  Value doc;
+  if (!mldist::util::json::parse(line, doc)) return false;
+  collect(doc, "", out);
+  return !out.bench.empty();
 }
 
 /// Newest entry per bench name across the file's lines.
@@ -354,27 +273,27 @@ int run_append(const std::string& bench_json, const std::string& name,
                  bench_json.c_str());
     return 2;
   }
-  std::string payload((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  while (!payload.empty() &&
-         (payload.back() == '\n' || payload.back() == '\r')) {
-    payload.pop_back();
-  }
-  std::string error;
-  if (!mldist::util::json_validate(payload, &error)) {
+  const std::string payload((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  Value doc;
+  mldist::util::json::Error error;
+  if (!mldist::util::json::parse(payload, doc, &error)) {
     std::fprintf(stderr, "bench_compare: %s is not valid JSON: %s\n",
-                 bench_json.c_str(), error.c_str());
+                 bench_json.c_str(), error.str().c_str());
     return 2;
   }
-  if (payload.size() < 2 || payload.front() != '{') {
+  if (doc.kind != Value::Kind::kObject) {
     std::fprintf(stderr, "bench_compare: %s is not a JSON object\n",
                  bench_json.c_str());
     return 2;
   }
-  // Splice {"bench":"name", ...payload fields...}.
+  // Splice {"bench":"name", ...payload members, verbatim...}.
+  const std::string_view body = doc.span(payload);
   const std::string line =
       "{\"bench\":" + mldist::util::JsonBuilder::quote(name) +
-      (payload == "{}" ? "" : ",") + payload.substr(1);
+      (doc.members.empty()
+           ? std::string("}")
+           : "," + std::string(body.substr(1)));
   const auto appended = mldist::util::append_jsonl(history_path, line);
   if (!appended) {
     std::fprintf(stderr, "%s\n", appended.error.c_str());
@@ -479,8 +398,14 @@ int main(int argc, char** argv) {
     else if (flag == "--bench-json") bench_json = v;
     else if (flag == "--name") name = v;
     else if (flag == "--report") report = v;
-    else if (flag == "--tolerance") tolerance = std::atof(v);
-    else return usage();
+    else if (flag == "--tolerance") {
+      char* end = nullptr;
+      tolerance = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(tolerance) ||
+          tolerance < 0.0) {
+        return usage();
+      }
+    } else return usage();
   }
 
   if (mode == "check") {

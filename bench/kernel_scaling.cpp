@@ -4,10 +4,13 @@
 // the end-to-end effect on dataset collection and a training epoch.
 //
 // The artifact results/BENCH_kernels.json records, per implementation, the
-// GEMM GFLOP/s, batched-Gimli states/sec, the loop-vs-batch collection
-// throughput and the train-epoch wall time, each with its speedup over the
-// reference implementation (GEMM) or over the scalar per-sample loop
-// (collection).  Acceptance thresholds, checked by the exit status:
+// GEMM GFLOP/s (a 128^3 product plus distinguisher-shaped products: the
+// Gohr conv interior at 1 and 32 rows, its border product and a
+// default-mlp fit product), batched-Gimli states/sec, the loop-vs-batch
+// collection throughput and the train-epoch wall time, each with its
+// speedup over the reference implementation (GEMM) or over the scalar
+// per-sample loop (collection).  Acceptance thresholds, checked by the exit
+// status:
 //   * best GEMM speedup vs reference >= 2x,
 //   * best batched collection speedup vs the scalar sample() loop >= 1.5x.
 //
@@ -93,6 +96,53 @@ int main(int argc, char** argv) {
         .field("gflops", gflops)
         .field("speedup_vs_reference", speedup);
     gemm_json.push_back(j.str());
+  }
+
+  // Distinguisher-shaped products, where small m and the per-call overhead
+  // decide the rate.  No gate: these rows put small-M rates on record.
+  struct GemmShape {
+    std::size_t m, k, n;
+    const char* what;
+  };
+  const GemmShape shapes[] = {
+      {62, 96, 32, "gohr conv interior, 1 row"},
+      {2046, 96, 32, "gohr conv interior, 32 rows"},
+      {2, 96, 32, "gohr conv border"},
+      {128, 128, 1024, "default-mlp fit product"},
+  };
+  const double shape_flop_budget = opt.full ? 4e8 : 1e8;
+  std::vector<std::string> shapes_json;
+  for (const GemmShape& s : shapes) {
+    const double shape_flops = 2.0 * static_cast<double>(s.m * s.k * s.n);
+    const int calls =
+        std::max(1, static_cast<int>(shape_flop_budget / shape_flops));
+    std::vector<float> sa(s.m * s.k), sb(s.k * s.n), sc(s.m * s.n);
+    for (auto& v : sa) v = static_cast<float>(rng.next_gaussian());
+    for (auto& v : sb) v = static_cast<float>(rng.next_gaussian());
+    const std::string dims = std::to_string(s.m) + "x" + std::to_string(s.k) +
+                             "x" + std::to_string(s.n);
+    std::printf("GEMM %s (%s), %d calls per measurement\n", dims.c_str(),
+                s.what, calls);
+    for (const kernels::Impl impl : impls) {
+      const double seconds = timed(5, [&] {
+        for (int i = 0; i < calls; ++i) {
+          kernels::gemm_impl(impl, sa.data(),
+                             static_cast<std::ptrdiff_t>(s.k), 1, sb.data(),
+                             static_cast<std::ptrdiff_t>(s.n), 1, sc.data(),
+                             s.m, s.k, s.n);
+        }
+      });
+      const double gflops = shape_flops * calls / seconds / 1e9;
+      std::printf("  %-10s %8.2f GFLOP/s   %8.2f us/call\n",
+                  kernels::impl_name(impl), gflops, seconds / calls * 1e6);
+      util::JsonBuilder j;
+      j.field("shape", dims)
+          .field("what", s.what)
+          .field("impl", kernels::impl_name(impl))
+          .field("us_per_call", seconds / calls * 1e6)
+          .field("gflops", gflops);
+      shapes_json.push_back(j.str());
+    }
   }
   bench::print_rule();
 
@@ -224,6 +274,7 @@ int main(int argc, char** argv) {
       .field("gemm_shape", std::to_string(m) + "x" + std::to_string(k) + "x" +
                                std::to_string(n))
       .raw("gemm", util::JsonBuilder::array(gemm_json))
+      .raw("gemm_shapes", util::JsonBuilder::array(shapes_json))
       .field("gimli_batch_states", static_cast<std::uint64_t>(states))
       .raw("gimli_batch", util::JsonBuilder::array(gimli_json))
       .field("collect_target", "gimli-hash/8")

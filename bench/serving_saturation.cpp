@@ -1,34 +1,40 @@
-// Serving-plane saturation (ISSUE 9): offered load vs latency for the
-// batched distinguisher daemon, and the throughput case for coalescing.
+// Serving-plane saturation: offered load vs latency for the batched
+// distinguisher daemon, and the throughput case for coalescing.
 //
 // Two daemon configurations serve the same untrained gohr-net/16 registry
 // (the weights are irrelevant to the cost model — serving is pure forward
 // passes):
 //
 //   batch-1  batch_window_us=0, batch_max_rows=1 — every request runs its
-//            own predict call; the per-request GEMM cost is the floor the
-//            coalescing exists to amortise.
+//            own predict call; the per-request forward cost is the floor
+//            the coalescing exists to amortise.
 //   batched  the default coalescing window (200us) and batch cap (64) —
 //            concurrent requests share one batched GEMM.
 //
 // Closed-loop clients (1..N threads, each request waits for its response)
 // sweep the offered load; per load point the bench records req/s and the
-// p50/p99 end-to-end latency.  Saturated throughput is the best req/s the
-// sweep reached.
+// p50/p99 end-to-end latency.  Both daemons run for the whole bench and
+// their load points alternate — the same client count on batch-1 and on
+// batched back to back, the order flipping from point to point — over a
+// fixed number of rounds.  Each round yields one speedup, the batched
+// saturated req/s (the best point of its sweep) over batch-1's, and the
+// bench reports the median round.  Host speed drifts on a shared machine;
+// measuring one configuration after the other let that drift decide the
+// ratio, while adjacent alternating points see the same host.
 //
-// The artifact results/BENCH_serving.json records the sweep and the pinned
-// summary metrics (serving_batched_req_per_sec, serving_batch1_req_per_sec,
-// serving_batch_speedup, p50/p99 ns per configuration).
+// The artifact results/BENCH_serving.json records the per-round speedups,
+// the per-point medians over rounds and the pinned summary metrics
+// (serving_batched_req_per_sec, serving_batch1_req_per_sec,
+// serving_batch_speedup, p50/p99 ns per configuration), each a median
+// over rounds.
 //
 // Acceptance, checked by the exit status (the bench runs under the
 // "regress" ctest label):
 //   * batched and batch-1 classify responses for the same rows are
 //     byte-identical (row independence + deterministic rendering), and
-//   * saturated batched throughput beats batch-1 by the kMinSpeedup floor
-//     (set beneath the typical >= 2x so single-core CPU-steal noise cannot
-//     flake the suite; skipped under sanitizer builds, where
-//     instrumentation on the I/O path drowns the GEMM savings — the
-//     byte-identity still gates).
+//   * the median round speedup meets the kMinSpeedup floor (skipped under
+//     sanitizer builds, where instrumentation on the I/O path drowns the
+//     GEMM savings — the byte-identity still gates).
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -66,11 +72,10 @@ namespace {
 
 using namespace mldist;
 
-// The coalescing win this bench demonstrates is >= 2x (typical quick-mode
-// runs on the 1-core CI host measure 1.9-2.5x, --full more); the exit-code
-// floor is set below the worst observed run so CPU-steal noise on a shared
-// single-core box cannot flake the regress suite.  The pinned history
-// metrics in tools/baselines.jsonl carry the real measured numbers.
+// The exit-code floor on the median round speedup.  Quick runs on a calm
+// 4-core host measure 1.5-1.9x.  While other tenants load the host, the
+// pool-parallel batched forward slows far more than batch-1's
+// single-threaded one and the ratio can fall below 1 (DESIGN.md §15).
 constexpr double kMinSpeedup = 1.5;
 #ifdef MLDIST_BENCH_SANITIZED
 constexpr bool kSanitized = true;
@@ -208,31 +213,40 @@ LoadPoint run_load(std::uint16_t port, int clients, double seconds,
   return point;
 }
 
-struct SweepResult {
-  std::vector<LoadPoint> points;
-  double saturated_req_per_sec = 0.0;
-  double sat_p50_ns = 0.0;
-  double sat_p99_ns = 0.0;
+/// One configuration's load points over the alternating rounds.
+struct ConfigRuns {
+  std::vector<std::vector<LoadPoint>> by_load;  ///< [load index][round]
+  std::vector<LoadPoint> saturated;             ///< [round] best req/s point
 };
 
-SweepResult sweep(std::uint16_t port, const std::vector<int>& load,
-                  double seconds, std::uint64_t seed, const char* label) {
-  SweepResult result;
-  std::printf("  %-8s %8s %12s %12s %12s %8s\n", label, "clients", "req/s",
-              "p50 us", "p99 us", "errors");
-  for (int clients : load) {
-    const LoadPoint point = run_load(port, clients, seconds, seed);
-    std::printf("  %-8s %8d %12.0f %12.1f %12.1f %8llu\n", "", point.clients,
-                point.req_per_sec, point.p50_ns / 1e3, point.p99_ns / 1e3,
-                static_cast<unsigned long long>(point.errors));
-    if (point.req_per_sec > result.saturated_req_per_sec) {
-      result.saturated_req_per_sec = point.req_per_sec;
-      result.sat_p50_ns = point.p50_ns;
-      result.sat_p99_ns = point.p99_ns;
+double median_of(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Per load point, the median over rounds of req/s, p50 and p99 (each on
+/// its own) with completed and error counts summed: the sweep as one row
+/// per client count.
+std::vector<LoadPoint> median_sweep(const ConfigRuns& runs) {
+  std::vector<LoadPoint> sweep;
+  for (const std::vector<LoadPoint>& rounds : runs.by_load) {
+    LoadPoint point;
+    std::vector<double> rate, p50, p99;
+    for (const LoadPoint& p : rounds) {
+      point.clients = p.clients;
+      point.completed += p.completed;
+      point.errors += p.errors;
+      rate.push_back(p.req_per_sec);
+      p50.push_back(p.p50_ns);
+      p99.push_back(p.p99_ns);
     }
-    result.points.push_back(point);
+    point.req_per_sec = median_of(rate);
+    point.p50_ns = median_of(p50);
+    point.p99_ns = median_of(p99);
+    sweep.push_back(point);
   }
-  return result;
+  return sweep;
 }
 
 std::string points_json(const std::vector<LoadPoint>& points) {
@@ -265,9 +279,9 @@ int main(int argc, char** argv) {
 
   // One untrained gohr-net/16 model over a 64-bit input — the SPECK32/64
   // ciphertext-pair shape of a Gohr-style distinguisher.  The depth-16
-  // residual tower keeps the batch-1 GEMM ceiling (~0.8k req/s here)
-  // well below the HTTP plane's capacity, so the sweep measures the
-  // coalescing win, not socket overhead.
+  // residual tower keeps the batch-1 forward ceiling (~1k req/s on a
+  // 4-core host) below the HTTP plane's capacity, so the sweep measures
+  // the coalescing win, not socket overhead.
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("mldist_bench_serving_" + std::to_string(::getpid())))
@@ -286,88 +300,133 @@ int main(int argc, char** argv) {
 
   const std::vector<int> load = opt.full ? std::vector<int>{1, 2, 4, 8, 16, 32}
                                          : std::vector<int>{1, 4, 16};
-  const double seconds = opt.full ? 2.0 : 0.8;
+  const double seconds = opt.full ? 0.8 : 0.4;
+  // Per-round speedups spread by about +-0.3x around the mean on a calm
+  // 4-core host; fifteen rounds keep the median's spread near 0.1x.  Odd,
+  // so the median is one round's speedup.
+  constexpr int kRounds = 15;
 
   serve::ServeOptions batch1;
   batch1.batch.batch_window_us = 0;
   batch1.batch.batch_max_rows = 1;
   serve::ServeOptions batched;  // the default coalescing configuration
 
-  // --- byte-identity gate (on the batched daemon) --------------------------
+  // Both daemons serve for the whole bench.
+  serve::ServeDaemon batch1_daemon(registry);
+  serve::ServeDaemon batched_daemon(registry);
+  for (auto [daemon, options] : {std::pair{&batch1_daemon, &batch1},
+                                 std::pair{&batched_daemon, &batched}}) {
+    std::string error;
+    if (!daemon->start(*options, &error)) {
+      std::fprintf(stderr, "FAIL: daemon start: %s\n", error.c_str());
+      return 1;
+    }
+  }
+  const std::uint16_t batch1_port = batch1_daemon.port();
+  const std::uint16_t batched_port = batched_daemon.port();
+
+  // --- byte-identity gate ----------------------------------------------------
+  // Eight rows in one request to the batched daemon against each row alone
+  // on the batch-1 daemon.  The requests also warm both daemons.
   std::vector<std::string> rows;
   for (int i = 0; i < 8; ++i) {
     rows.push_back(hex_row(opt.seed + 1000 + static_cast<std::uint64_t>(i), 8));
   }
-  bool identical = true;
-  {
-    serve::ServeDaemon daemon(registry);
-    std::string error;
-    if (!daemon.start(batched, &error)) {
-      std::fprintf(stderr, "FAIL: daemon start: %s\n", error.c_str());
-      return 1;
+  const Reply all = post_classify(batched_port, classify_body(rows));
+  bool identical = all.status == 200;
+  std::string rebuilt = "\"predictions\":[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Reply one = post_classify(batch1_port, classify_body({rows[i]}));
+    identical = identical && one.status == 200;
+    const std::string preds = predictions_of(one.body);
+    // "predictions":[{...}]}  ->  {...}
+    const std::size_t open = preds.find('{');
+    const std::size_t close = preds.rfind('}');
+    if (open == std::string::npos || close <= open + 1) {
+      identical = false;
+      break;
     }
-    const Reply all = post_classify(daemon.port(), classify_body(rows));
-    identical = all.status == 200;
-    std::string rebuilt = "\"predictions\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Reply one = post_classify(daemon.port(), classify_body({rows[i]}));
-      identical = identical && one.status == 200;
-      const std::string preds = predictions_of(one.body);
-      // "predictions":[{...}]}  ->  {...}
-      const std::size_t open = preds.find('{');
-      const std::size_t close = preds.rfind('}');
-      if (open == std::string::npos || close <= open + 1) {
-        identical = false;
-        break;
-      }
-      if (i > 0) rebuilt += ",";
-      rebuilt += preds.substr(open, preds.rfind("}]") - open + 1);
-    }
-    rebuilt += "]}";
-    identical = identical &&
-                predictions_of(all.body).find(rebuilt) != std::string::npos;
-    daemon.stop();
+    if (i > 0) rebuilt += ",";
+    rebuilt += preds.substr(open, preds.rfind("}]") - open + 1);
   }
+  rebuilt += "]}";
+  identical = identical &&
+              predictions_of(all.body).find(rebuilt) != std::string::npos;
   std::printf("batched vs batch-1 responses byte-identical: %s\n",
               identical ? "yes" : "NO");
 
-  // --- saturation sweeps ---------------------------------------------------
-  SweepResult batch1_sweep;
-  {
-    serve::ServeDaemon daemon(registry);
-    std::string error;
-    if (!daemon.start(batch1, &error)) {
-      std::fprintf(stderr, "FAIL: daemon start: %s\n", error.c_str());
-      return 1;
+  // --- alternating saturation rounds -----------------------------------------
+  ConfigRuns batch1_runs, batched_runs;
+  batch1_runs.by_load.resize(load.size());
+  batched_runs.by_load.resize(load.size());
+  std::vector<double> round_speedups;
+  std::printf("  %5s %7s | %-26s | %-26s\n", "round", "clients",
+              "batch-1 req/s p50/p99 us", "batched req/s p50/p99 us");
+  for (int round = 0; round < kRounds; ++round) {
+    LoadPoint batch1_best, batched_best;
+    for (std::size_t i = 0; i < load.size(); ++i) {
+      // Flip the order from point to point and round to round, so neither
+      // configuration is always the one measured second.
+      const bool batch1_first =
+          (static_cast<std::size_t>(round) + i) % 2 == 0;
+      LoadPoint p1, pb;
+      if (batch1_first) {
+        p1 = run_load(batch1_port, load[i], seconds, opt.seed);
+        pb = run_load(batched_port, load[i], seconds, opt.seed);
+      } else {
+        pb = run_load(batched_port, load[i], seconds, opt.seed);
+        p1 = run_load(batch1_port, load[i], seconds, opt.seed);
+      }
+      std::printf("  %5d %7d | %8.0f %8.1f %8.1f | %8.0f %8.1f %8.1f\n",
+                  round, load[i], p1.req_per_sec, p1.p50_ns / 1e3,
+                  p1.p99_ns / 1e3, pb.req_per_sec, pb.p50_ns / 1e3,
+                  pb.p99_ns / 1e3);
+      if (p1.errors + pb.errors > 0) {
+        std::printf("  %5s %7s   errors: batch-1 %llu, batched %llu\n", "",
+                    "", static_cast<unsigned long long>(p1.errors),
+                    static_cast<unsigned long long>(pb.errors));
+      }
+      if (p1.req_per_sec > batch1_best.req_per_sec) batch1_best = p1;
+      if (pb.req_per_sec > batched_best.req_per_sec) batched_best = pb;
+      batch1_runs.by_load[i].push_back(p1);
+      batched_runs.by_load[i].push_back(pb);
     }
-    (void)post_classify(daemon.port(), classify_body({rows[0]}));  // warm
-    batch1_sweep = sweep(daemon.port(), load, seconds, opt.seed, "batch-1");
-    daemon.stop();
+    batch1_runs.saturated.push_back(batch1_best);
+    batched_runs.saturated.push_back(batched_best);
+    round_speedups.push_back(batch1_best.req_per_sec > 0.0
+                                 ? batched_best.req_per_sec /
+                                       batch1_best.req_per_sec
+                                 : 0.0);
+    std::printf("  round %d speedup %.2fx\n", round, round_speedups.back());
   }
-  SweepResult batched_sweep;
-  {
-    serve::ServeDaemon daemon(registry);
-    std::string error;
-    if (!daemon.start(batched, &error)) {
-      std::fprintf(stderr, "FAIL: daemon start: %s\n", error.c_str());
-      return 1;
-    }
-    (void)post_classify(daemon.port(), classify_body({rows[0]}));  // warm
-    batched_sweep = sweep(daemon.port(), load, seconds, opt.seed, "batched");
-    daemon.stop();
-  }
+  batch1_daemon.stop();
+  batched_daemon.stop();
   std::filesystem::remove_all(dir);
 
-  const double speedup =
-      batch1_sweep.saturated_req_per_sec > 0.0
-          ? batched_sweep.saturated_req_per_sec /
-                batch1_sweep.saturated_req_per_sec
-          : 0.0;
+  // Summary metrics: each the median over rounds of the round's saturated
+  // point.
+  const auto saturated_median = [](const ConfigRuns& runs,
+                                   double LoadPoint::*field) {
+    std::vector<double> values;
+    for (const LoadPoint& p : runs.saturated) values.push_back(p.*field);
+    return median_of(values);
+  };
+  const double batch1_rate =
+      saturated_median(batch1_runs, &LoadPoint::req_per_sec);
+  const double batched_rate =
+      saturated_median(batched_runs, &LoadPoint::req_per_sec);
+  const double speedup = median_of(round_speedups);
   bench::print_rule();
-  std::printf("saturated: batch-1 %.0f req/s, batched %.0f req/s -> %.2fx\n",
-              batch1_sweep.saturated_req_per_sec,
-              batched_sweep.saturated_req_per_sec, speedup);
+  std::printf("saturated (median of %d rounds): batch-1 %.0f req/s, batched "
+              "%.0f req/s; median round speedup %.2fx\n",
+              kRounds, batch1_rate, batched_rate, speedup);
 
+  std::vector<std::string> speedups_json;
+  for (double r : round_speedups) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", r);  // JsonBuilder's rendering
+    speedups_json.push_back(buf);
+  }
   util::JsonBuilder j;
   j.raw("options", bench::options_json(opt))
       .field("model", "gohr-net/16")
@@ -376,18 +435,22 @@ int main(int argc, char** argv) {
       .field("batch_max_rows",
              static_cast<std::uint64_t>(batched.batch.batch_max_rows))
       .field("load_seconds", seconds)
-      .raw("batch1_sweep", points_json(batch1_sweep.points))
-      .raw("batched_sweep", points_json(batched_sweep.points))
+      .field("rounds", kRounds)
+      .raw("round_speedups", util::JsonBuilder::array(speedups_json))
+      .raw("batch1_sweep", points_json(median_sweep(batch1_runs)))
+      .raw("batched_sweep", points_json(median_sweep(batched_runs)))
       .field("bitwise_ok", identical)
-      .field("serving_batch1_req_per_sec",
-             batch1_sweep.saturated_req_per_sec)
-      .field("serving_batched_req_per_sec",
-             batched_sweep.saturated_req_per_sec)
+      .field("serving_batch1_req_per_sec", batch1_rate)
+      .field("serving_batched_req_per_sec", batched_rate)
       .field("serving_batch_speedup", speedup)
-      .field("serving_batch1_p50_ns", batch1_sweep.sat_p50_ns)
-      .field("serving_batch1_p99_ns", batch1_sweep.sat_p99_ns)
-      .field("serving_batched_p50_ns", batched_sweep.sat_p50_ns)
-      .field("serving_batched_p99_ns", batched_sweep.sat_p99_ns);
+      .field("serving_batch1_p50_ns",
+             saturated_median(batch1_runs, &LoadPoint::p50_ns))
+      .field("serving_batch1_p99_ns",
+             saturated_median(batch1_runs, &LoadPoint::p99_ns))
+      .field("serving_batched_p50_ns",
+             saturated_median(batched_runs, &LoadPoint::p50_ns))
+      .field("serving_batched_p99_ns",
+             saturated_median(batched_runs, &LoadPoint::p99_ns));
   bench::write_bench_json("serving", j);
 
   if (!identical) {
@@ -403,10 +466,11 @@ int main(int argc, char** argv) {
   }
   if (speedup < kMinSpeedup) {
     std::fprintf(stderr,
-                 "FAIL: batched speedup %.2fx below the %.1fx floor\n",
+                 "FAIL: median round speedup %.2fx below the %.1fx floor\n",
                  speedup, kMinSpeedup);
     return 1;
   }
-  std::printf("batched speedup %.2fx (floor %.1fx)\n", speedup, kMinSpeedup);
+  std::printf("median round speedup %.2fx (floor %.1fx)\n", speedup,
+              kMinSpeedup);
   return 0;
 }

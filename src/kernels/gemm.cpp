@@ -39,24 +39,34 @@ struct GemmMetrics {
 namespace detail {
 namespace {
 
-// Below this many fma steps the packing traffic dominates; fall through to
-// the (bitwise-identical) elementwise chain instead.
-constexpr std::size_t kBlockedBypassFlops = 32u * 32u * 32u;
+// Products with fewer than this many outputs (m*n) take the (bitwise-
+// identical) elementwise chain.  Per k step the blocked path packs
+// ~(m + n) padded lanes and sweeps whole 6x16 tiles, while the chain runs
+// m*n latency-bound fmas, so k cancels and the output count decides.  A
+// sweep over the zoo's shapes (DESIGN.md §9) puts the crossover near 8
+// outputs for the avx2 micro-kernel and 16 for the portable one: at 16,
+// classifier heads of up to 7 rows (m x k x 2) stay on the chain, while
+// the Gohr conv border product (2 x 96 x 32) and one-row dense layers
+// take the blocked path.
+constexpr std::size_t kBlockedBypassOutputs = 16;
 
-// Scalar full-tile micro-kernel.  Row lanes of kNR=16 floats autovectorize
-// cleanly (two AVX vectors per row); std::fmaf keeps the chain explicit.
+// Scalar full-tile micro-kernel, one tile row at a time: the 16-lane row
+// accumulator stays in registers across the whole k loop, which GCC
+// vectorizes cleanly (a row-inner loop order defeats its vectorizer).  The
+// per-element chain is the same k-ascending std::fmaf sequence.
 void micro_scalar(std::size_t kc, const float* ap, const float* bp,
                   float* acc) {
-  for (std::size_t kk = 0; kk < kc; ++kk) {
-    const float* arow = ap + kk * kMR;
-    const float* brow = bp + kk * kNR;
-    for (int r = 0; r < kMR; ++r) {
-      const float av = arow[r];
-      float* crow = acc + r * kNR;
+  for (int r = 0; r < kMR; ++r) {
+    float crow[kNR];
+    std::memcpy(crow, acc + r * kNR, sizeof(crow));
+    for (std::size_t kk = 0; kk < kc; ++kk) {
+      const float av = ap[kk * kMR + static_cast<std::size_t>(r)];
+      const float* brow = bp + kk * kNR;
       for (int j = 0; j < kNR; ++j) {
         crow[j] = std::fmaf(av, brow[j], crow[j]);
       }
     }
+    std::memcpy(acc + r * kNR, crow, sizeof(crow));
   }
 }
 
@@ -85,15 +95,25 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
                          std::size_t m, std::size_t k, std::size_t n,
                          const GemmEpilogue& epilogue, MicroFn micro) {
   if (m == 0 || n == 0) return;
-  if (k == 0 || m * n * k < kBlockedBypassFlops) {
+  if (k == 0 || m * n < kBlockedBypassOutputs) {
     gemm_reference(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue);
     return;
   }
 
-  const std::size_t a_strips = (kMC + kMR - 1) / kMR;
-  const std::size_t b_strips = (kNC + kNR - 1) / kNR;
-  std::vector<float> apack(a_strips * kKC * kMR);
-  std::vector<float> bpack(b_strips * kKC * kNR);
+  // Pack panels sized to this call (one k block of at most kMC rows of A and
+  // kNC columns of B) in per-thread grow-only buffers, so a steady-state
+  // call neither allocates nor zero-fills.  The packing loops below write
+  // every lane the micro-kernel reads, padding zeros included, so what an
+  // earlier call left in a reused buffer is never observed.
+  const std::size_t kc_max = std::min(kKC, k);
+  const std::size_t a_floats =
+      (std::min(kMC, m) + kMR - 1) / kMR * kc_max * kMR;
+  const std::size_t b_floats =
+      (std::min(kNC, n) + kNR - 1) / kNR * kc_max * kNR;
+  thread_local std::vector<float> apack;
+  thread_local std::vector<float> bpack;
+  if (apack.size() < a_floats) apack.resize(a_floats);
+  if (bpack.size() < b_floats) bpack.resize(b_floats);
   const GemmEpilogue no_epilogue{};
 
   for (std::size_t jc = 0; jc < n; jc += kNC) {

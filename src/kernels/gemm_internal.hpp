@@ -6,7 +6,9 @@
 // column panels and A into kMR-tall row panels per (kKC x kNC) cache block,
 // then sweep a full kMR x kNR register tile over the packed panels.  Edge
 // tiles are zero-padded in the packed panels, so the micro-kernel always
-// runs full-size; only the valid mr x nr lanes are stored back.
+// runs full-size; only the valid mr x nr lanes are stored back.  The panels
+// are sized to the call and kept in per-thread grow-only buffers, so a
+// repeated shape neither allocates nor zero-fills.
 //
 // Bitwise determinism: the accumulator tile is carried across k blocks
 // through C itself (stored after each non-final k block and reloaded, which

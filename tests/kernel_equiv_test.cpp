@@ -13,10 +13,13 @@
 // +0/-0 and NaN-payload differences would be caught too.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,6 +41,26 @@
 #include "nn/model.hpp"
 #include "nn/residual.hpp"
 #include "util/rng.hpp"
+
+// Every plain new in this binary goes through the counting global operator
+// new below (the array and nothrow forms forward to it), so a test can
+// assert that a code path never touches the heap.
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+// GCC pairs an inlined new with the free() inside the matching delete and
+// warns; the pairing is exactly right here (malloc in, free out).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -129,12 +152,16 @@ struct Shape {
 
 // Adversarial shapes: degenerate, tall/skinny, exact register-tile
 // multiples (6x16 micro-tile), off-by-one around tile and cache-block
-// (KC=256, MC=126, NC=512) boundaries.
+// (KC=256, MC=126, NC=512) boundaries, and pairs straddling the blocked
+// driver's bypass (fewer than 16 outputs m*n take the elementwise chain):
+// classifier heads (m x k x 2) and Gohr conv products (x 96 x 32).
 const Shape kShapes[] = {
     {1, 1, 1},    {1, 7, 1},    {7, 1, 3},     {1, 1, 64},   {64, 1, 1},
     {2, 300, 2},  {300, 2, 2},  {2, 2, 300},   {6, 32, 16},  {12, 64, 32},
     {5, 33, 17},  {7, 255, 15}, {13, 256, 16}, {19, 257, 33}, {126, 40, 16},
     {127, 33, 31}, {31, 513, 9}, {64, 100, 520},
+    {1, 64, 2},   {7, 130, 2},  {8, 130, 2},   {15, 9, 1},   {16, 9, 1},
+    {3, 50, 5},   {1, 40, 16},  {2, 96, 32},   {62, 96, 32},
 };
 
 void run_gemm_all_impls(std::size_t m, std::size_t k, std::size_t n,
@@ -192,6 +219,33 @@ TEST(GemmEquivalence, TransposedBOperand) {
                        static_cast<std::ptrdiff_t>(s.k), a, b, {},
                        "NT m=" + std::to_string(s.m) + " k=" +
                            std::to_string(s.k) + " n=" + std::to_string(s.n));
+  }
+}
+
+// The blocked driver packs into per-thread grow-only panels sized to the
+// call, so once a thread has run a shape, repeating it allocates nothing.
+// The shapes are a Gohr conv interior product and one crossing every cache
+// block (KC=256, MC=126, NC=512).  Tracing is off, so obs::Span is inert.
+TEST(GemmAllocation, WarmedCallDoesNotTouchTheHeap) {
+  Xoshiro256 rng(0xaa);
+  const std::vector<Impl> impls = kernels::available_impls();
+  for (const Shape& s : {Shape{62, 96, 32}, Shape{127, 257, 513}}) {
+    const auto a = random_floats(s.m * s.k, rng);
+    const auto b = random_floats(s.k * s.n, rng);
+    std::vector<float> c(s.m * s.n);
+    for (Impl impl : impls) {
+      const auto product = [&] {
+        kernels::gemm_impl(impl, a.data(), static_cast<std::ptrdiff_t>(s.k),
+                           1, b.data(), static_cast<std::ptrdiff_t>(s.n), 1,
+                           c.data(), s.m, s.k, s.n);
+      };
+      product();  // warm: metric ids and this thread's pack panels
+      const std::size_t before = g_heap_allocations.load();
+      product();
+      EXPECT_EQ(g_heap_allocations.load() - before, 0u)
+          << "impl=" << kernels::impl_name(impl) << " m=" << s.m
+          << " k=" << s.k << " n=" << s.n;
+    }
   }
 }
 

@@ -6,18 +6,25 @@
 //   * Sequential::evaluate / predict reduce per-batch partials in batch
 //     order — identical results for every pool size;
 //   * nested parallel_for calls run inline instead of deadlocking;
+//   * concurrent GEMMs on per-thread pack panels stay bitwise equal to the
+//     reference kernel;
 //   * a full MLDistinguisher::train is reproducible across thread counts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/dataset.hpp"
 #include "core/distinguisher.hpp"
 #include "core/experiment.hpp"
 #include "core/targets.hpp"
+#include "kernels/dispatch.hpp"
+#include "kernels/gemm.hpp"
 #include "nn/model.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -179,6 +186,68 @@ TEST(NestedParallel, InnerParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(outer.load(), 8);
   EXPECT_EQ(inner.load(), 8 * 4);
   EXPECT_FALSE(util::ThreadPool::in_parallel_region());
+}
+
+// ---------------------------------------------------------------------------
+// concurrent GEMMs on per-thread pack panels
+// ---------------------------------------------------------------------------
+
+// Each thread alternates a product crossing every cache block with a small
+// edge-tile product (m % 6 != 0, n % 16 != 0) on the same per-thread pack
+// panels.  Every result must equal the reference kernel bit for bit, so a
+// panel shared between threads or a stale lane surviving from the larger
+// shape would show up here (and as a race under TSAN).
+TEST(ParallelGemm, PerThreadPanelsStayBitwiseEqualToReference) {
+  struct Product {
+    std::size_t m, k, n;
+    std::vector<float> a, b, want;
+  };
+  util::Xoshiro256 rng(0x9e33);
+  std::vector<Product> products;
+  for (const auto [m, k, n] : {std::array<std::size_t, 3>{131, 260, 521},
+                               std::array<std::size_t, 3>{7, 33, 17}}) {
+    Product p{m, k, n, std::vector<float>(m * k), std::vector<float>(k * n),
+              std::vector<float>(m * n)};
+    for (float& v : p.a) v = static_cast<float>(rng.next_gaussian());
+    for (float& v : p.b) v = static_cast<float>(rng.next_gaussian());
+    kernels::gemm_impl(kernels::Impl::kReference, p.a.data(),
+                       static_cast<std::ptrdiff_t>(k), 1, p.b.data(),
+                       static_cast<std::ptrdiff_t>(n), 1, p.want.data(), m, k,
+                       n);
+    products.push_back(std::move(p));
+  }
+  const std::vector<kernels::Impl> impls = kernels::available_impls();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < products.size(); ++i) {
+          // Threads start on different shapes so large and small products
+          // overlap in time.
+          const Product& p =
+              products[(i + static_cast<std::size_t>(t)) % products.size()];
+          for (kernels::Impl impl : impls) {
+            if (impl == kernels::Impl::kReference) continue;
+            std::vector<float> got(p.m * p.n, -1.0f);
+            kernels::gemm_impl(impl, p.a.data(),
+                               static_cast<std::ptrdiff_t>(p.k), 1,
+                               p.b.data(), static_cast<std::ptrdiff_t>(p.n), 1,
+                               got.data(), p.m, p.k, p.n);
+            for (std::size_t e = 0; e < got.size(); ++e) {
+              if (std::bit_cast<std::uint32_t>(got[e]) !=
+                  std::bit_cast<std::uint32_t>(p.want[e])) {
+                mismatches.fetch_add(1, std::memory_order_relaxed);
+                break;
+              }
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

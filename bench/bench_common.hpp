@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,10 +37,13 @@
 #include "core/targets.hpp"
 #include "kernels/dispatch.hpp"
 #include "nn/model.hpp"
+#include "obs/http.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
-#include "obs/server.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/daemon.hpp"
+#include "serve/registry.hpp"
 #include "util/json.hpp"
 
 namespace mldist::bench {
@@ -62,11 +66,17 @@ struct Options {
   }
 };
 
-/// The bench-wide metrics server, started by --serve-metrics and alive for
-/// the rest of the process (stopped by its destructor at exit).
-inline obs::MetricsServer& metrics_server() {
-  static obs::MetricsServer server;
-  return server;
+/// The bench-wide metrics plane, started by --serve-metrics: a serving
+/// daemon with no models, alive for the rest of the process (stopped by its
+/// destructor at exit).  Statics die in reverse order of construction, so
+/// everything its event loop reads (the model registry, the metrics and
+/// run-status singletons) is constructed before it.
+inline serve::ServeDaemon& metrics_server() {
+  obs::MetricsRegistry::global();
+  obs::RunStatus::global();
+  static const serve::ModelRegistry no_models;
+  static serve::ServeDaemon daemon(no_models);
+  return daemon;
 }
 
 inline Options parse_options(int argc, char** argv) {
@@ -94,9 +104,18 @@ inline Options parse_options(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       obs::Tracer::global().enable(argv[++i]);
     } else if (std::strcmp(argv[i], "--serve-metrics") == 0 && i + 1 < argc) {
-      const int port = std::atoi(argv[++i]);
+      const std::optional<std::uint16_t> port = obs::parse_port(argv[++i]);
+      if (!port) {
+        std::fprintf(stderr,
+                     "--serve-metrics: '%s' is not a port (expected "
+                     "0-65535)\n",
+                     argv[i]);
+        std::exit(2);
+      }
+      serve::ServeOptions serve_opt;
+      serve_opt.port = *port;
       std::string error;
-      if (!metrics_server().start(static_cast<std::uint16_t>(port), &error)) {
+      if (!metrics_server().start(serve_opt, &error)) {
         std::fprintf(stderr, "--serve-metrics: %s\n", error.c_str());
         std::exit(2);
       }

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -36,10 +37,10 @@
 #include "core/targets.hpp"
 #include "kernels/dispatch.hpp"
 #include "nn/ir/pass.hpp"
+#include "obs/http.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/server.hpp"
 #include "obs/signal.hpp"
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
@@ -62,7 +63,8 @@ struct Args {
   std::string model_path = "dist.nnb";
   std::string oracle = "cipher";
   bool json = false;
-  int serve_port = -1;  ///< -1 = metrics server off (0 = ephemeral port)
+  /// --serve-metrics port (0 = ephemeral); unset = no metrics plane.
+  std::optional<std::uint16_t> serve_port;
   bool passes_set = false;         ///< --passes was given
   std::vector<std::string> passes; ///< IR pipeline override when passes_set
   core::ExperimentConfig config;
@@ -89,6 +91,17 @@ std::vector<std::string> split_commas(const std::string& text) {
     }
   }
   return out;
+}
+
+/// obs::parse_port on a flag's value, complaining with the flag's name.
+std::optional<std::uint16_t> port_arg(const std::string& flag,
+                                      const char* text) {
+  const std::optional<std::uint16_t> port = obs::parse_port(text);
+  if (!port) {
+    std::fprintf(stderr, "%s: '%s' is not a port (expected 0-65535)\n",
+                 flag.c_str(), text);
+  }
+  return port;
 }
 
 bool parse(int argc, char** argv, Args& out) {
@@ -183,7 +196,9 @@ bool parse(int argc, char** argv, Args& out) {
     } else if (flag == "--registry") {
       out.registry_dir = v;
     } else if (flag == "--port") {
-      out.serve_opt.port = static_cast<std::uint16_t>(std::atoi(v));
+      const std::optional<std::uint16_t> port = port_arg(flag, v);
+      if (!port) return false;
+      out.serve_opt.port = *port;
     } else if (flag == "--batch-window-us") {
       out.serve_opt.batch.batch_window_us = std::atoi(v);
     } else if (flag == "--batch-max-rows") {
@@ -212,7 +227,8 @@ bool parse(int argc, char** argv, Args& out) {
       // setting MLDIST_TRACE=v in the environment.
       obs::Tracer::global().enable(v);
     } else if (flag == "--serve-metrics") {
-      out.serve_port = std::atoi(v);
+      out.serve_port = port_arg(flag, v);
+      if (!out.serve_port) return false;
     } else if (flag == "--log-level") {
       obs::LogLevel lvl;
       if (!obs::parse_level(v, lvl)) {
@@ -543,7 +559,6 @@ int cmd_serve(const Args& args) {
   if (!daemon.start(args.serve_opt, &error)) {
     throw std::runtime_error("serve: " + error);
   }
-  obs::RunStatus::global().set_phase("serve");
   if (!args.json) {
     std::printf("serving %zu model%s on http://localhost:%u/v1/classify "
                 "(^C to stop)\n",
@@ -624,18 +639,23 @@ int main(int argc, char** argv) {
       /*exit_immediately=*/args.command != "campaign" &&
       args.command != "serve");
   // Live observability (off by default): /metrics, /healthz and /runz for
-  // the duration of the run.  The server thread only ever reads snapshots,
-  // so it cannot perturb the pipeline's determinism.
-  obs::MetricsServer server;
-  if (args.serve_port >= 0) {
+  // the duration of the run, from a serving daemon with no models.  Its
+  // event loop only ever reads snapshots, so it cannot perturb the
+  // pipeline's determinism.  The registry is declared first: it must
+  // outlive the daemon that reads it.
+  const serve::ModelRegistry no_models;
+  serve::ServeDaemon metrics_plane(no_models);
+  if (args.serve_port) {
+    serve::ServeOptions opt;
+    opt.port = *args.serve_port;
     std::string error;
-    if (!server.start(static_cast<std::uint16_t>(args.serve_port), &error)) {
+    if (!metrics_plane.start(opt, &error)) {
       return report_error(args.json, "config", "--serve-metrics: " + error,
                           kExitConfig);
     }
     if (!args.json) {
       std::printf("metrics server on http://localhost:%u/metrics\n",
-                  server.port());
+                  metrics_plane.port());
     }
   }
   try {

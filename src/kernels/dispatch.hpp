@@ -6,8 +6,9 @@
 //     no SIMD.  Every other kernel is pinned bitwise against it.
 //   * blocked   — cache-blocked, register-tiled, packing GEMM and a
 //     column-sliced SoA Gimli sweep; plain C++, autovectorizable.
-//   * avx2      — the blocked structure with an AVX2+FMA micro-kernel,
-//     compiled separately and gated on runtime CPU detection.
+//   * avx2      — the blocked structure with an AVX2+FMA GEMM micro-kernel,
+//     compiled separately and gated on runtime CPU detection.  Its Gimli
+//     batches run the blocked sweep, which the compiler already vectorises.
 //
 // Determinism contract (tested by tests/kernel_equiv_test.cpp):
 //   * every kernel computes each GEMM output element as the k-ascending

@@ -85,10 +85,14 @@ void gimli_batch_reference(std::uint32_t* soa, std::size_t n, int hi,
 }
 
 void gimli_batch_blocked(std::uint32_t* soa, std::size_t n, int hi, int lo) {
-  constexpr int kLanes = 16;
   std::size_t s = 0;
-  for (; s + kLanes <= n; s += kLanes) {
-    gimli_rounds_lanes<kLanes>(soa, n, s, hi, lo);
+  for (; s + 16 <= n; s += 16) gimli_rounds_lanes<16>(soa, n, s, hi, lo);
+  // One 8-lane block before the scalar tail: tails of 8-15 states are
+  // common (a 32-input collect slab at t = 2 leaves 12 of its 96 states
+  // after the 16-lane blocks) and would otherwise all run scalar.
+  if (s + 8 <= n) {
+    gimli_rounds_lanes<8>(soa, n, s, hi, lo);
+    s += 8;
   }
   for (; s < n; ++s) gimli_rounds_one(soa + s, n, hi, lo);
 }
@@ -121,10 +125,8 @@ void gimli_rounds_batch_impl(Impl impl, std::uint32_t* soa, std::size_t n,
       detail::gimli_batch_reference(soa, n, hi, lo);
       return;
     case Impl::kBlocked:
+    case Impl::kAvx2:  // the blocked sweep autovectorises; see DESIGN.md §9
       detail::gimli_batch_blocked(soa, n, hi, lo);
-      return;
-    case Impl::kAvx2:
-      detail::gimli_batch_avx2(soa, n, hi, lo);
       return;
   }
 }

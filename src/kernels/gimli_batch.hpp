@@ -33,8 +33,9 @@ void gimli_rounds_batch_impl(Impl impl, std::uint32_t* soa, std::size_t n,
 namespace detail {
 
 void gimli_batch_reference(std::uint32_t* soa, std::size_t n, int hi, int lo);
+/// 16-lane blocks, one 8-lane block, then scalar states.  The avx2
+/// dispatch runs this sweep too (DESIGN.md §9).
 void gimli_batch_blocked(std::uint32_t* soa, std::size_t n, int hi, int lo);
-void gimli_batch_avx2(std::uint32_t* soa, std::size_t n, int hi, int lo);
 
 }  // namespace detail
 

@@ -1,6 +1,6 @@
 // Prometheus text exposition (version 0.0.4) rendered from a
-// MetricsSnapshot — the wire half of the registry, consumed by the embedded
-// /metrics endpoint (obs/server.hpp) or dumped directly by tools.
+// MetricsSnapshot — the wire half of the registry, consumed by the serving
+// daemon's /metrics endpoint (serve/daemon.hpp) or dumped directly by tools.
 //
 // Name mapping: registry names are dotted ("core.oracle.queries"); exported
 // names are "mldist_" + the name with every character outside

@@ -3,11 +3,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 namespace mldist::obs {
@@ -62,6 +62,16 @@ int listen_tcp(std::uint16_t port, int backlog, std::uint16_t* bound_port,
   return fd;
 }
 
+std::optional<std::uint16_t> parse_port(std::string_view text) {
+  // from_chars into an unsigned type takes no sign and no leading space
+  // and reports values past 65535 as out of range.
+  std::uint16_t port = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, port);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return port;
+}
+
 int accept_cloexec(int listen_fd) {
 #ifdef SOCK_CLOEXEC
   const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
@@ -70,13 +80,6 @@ int accept_cloexec(int listen_fd) {
   if (fd >= 0) set_cloexec(fd);
 #endif
   return fd;
-}
-
-void set_recv_timeout(int fd, int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 void send_all(int fd, const std::string& data) {
@@ -132,7 +135,10 @@ bool HttpRequestReader::feed(const char* data, std::size_t n) {
     buf_.append(data, n);
     const std::size_t end = buf_.find("\r\n\r\n");
     if (end == std::string::npos) {
-      if (buf_.size() > max_header_) {
+      // A terminator starting at max_header_ is accepted, and up to three
+      // of its bytes may already be buffered; only past that is the block
+      // oversized whatever the next recv brings.
+      if (buf_.size() > max_header_ + 3) {
         fail(431, "request headers exceed " + std::to_string(max_header_) +
                       " bytes");
       }

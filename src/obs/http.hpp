@@ -1,7 +1,6 @@
-// Shared HTTP/1.1 plumbing for the embedded endpoints: the metrics server
-// (obs/server.hpp) and the serving daemon (src/serve) speak the same tiny
-// dialect, so the socket setup, the request reader and the response
-// formatter live here once.
+// HTTP/1.1 plumbing for the repo's one HTTP event loop, serve::ServeDaemon
+// (src/serve/daemon.hpp), which also serves --serve-metrics with no models
+// loaded: socket setup, the request reader and the response formatter.
 //
 // Scope is deliberately small — enough HTTP for curl, a Prometheus scraper
 // and the JSON classify clients: request line + headers + an optional
@@ -21,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -34,14 +34,14 @@ namespace mldist::obs {
 int listen_tcp(std::uint16_t port, int backlog, std::uint16_t* bound_port,
                std::string* error);
 
+/// A listen port as given on the command line: decimal digits only, 0-65535
+/// (0 = ephemeral).  No sign, whitespace or suffix; nullopt otherwise.
+std::optional<std::uint16_t> parse_port(std::string_view text);
+
 /// accept(2) a client from `listen_fd`, close-on-exec (accept4 with
 /// SOCK_CLOEXEC where available, else accept + fcntl).  Returns -1 on
 /// failure (errno preserved).
 int accept_cloexec(int listen_fd);
-
-/// Set SO_RCVTIMEO so a blocking recv on `fd` returns EAGAIN after
-/// `timeout_ms` instead of stalling the caller forever.
-void set_recv_timeout(int fd, int timeout_ms);
 
 /// Write all of `data`, retrying short writes; gives up silently when the
 /// client goes away (MSG_NOSIGNAL — no SIGPIPE).

@@ -82,9 +82,10 @@ bool ServeDaemon::start(const ServeOptions& options, std::string* error) {
 
   // /runz detail: per-model live queue depth and served totals, read from
   // the global registry inside the provider (no `this` capture — the
-  // provider may be invoked on the metrics-server thread while the daemon
-  // is tearing down; it is cleared before the workers are).
-  {
+  // provider may be invoked on a --serve-metrics daemon's thread while this
+  // one is tearing down; it is cleared before the workers are).  A daemon
+  // without models stamps nothing: it is the metrics plane of another run.
+  if (registry_.size() > 0) {
     std::vector<std::string> names;
     names.reserve(registry_.size());
     for (const ModelEntry& e : registry_.entries()) names.push_back(e.name);
@@ -115,8 +116,8 @@ bool ServeDaemon::start(const ServeOptions& options, std::string* error) {
       j.raw("models", util::JsonBuilder::array(models));
       return j.str();
     });
+    obs::RunStatus::global().set_phase("serve");
   }
-  obs::RunStatus::global().set_phase("serve");
 
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { event_loop(); });
@@ -132,8 +133,10 @@ bool ServeDaemon::start(const ServeOptions& options, std::string* error) {
 
 void ServeDaemon::stop() {
   if (!running()) return;
-  obs::RunStatus::global().set_detail_provider(nullptr);
-  obs::RunStatus::global().set_phase("idle");
+  if (registry_.size() > 0) {
+    obs::RunStatus::global().set_detail_provider(nullptr);
+    obs::RunStatus::global().set_phase("idle");
+  }
   stop_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
   // Workers drain their queues (every admitted request is answered), then

@@ -18,6 +18,10 @@
 //   GET  /healthz       {"status":"ok","models":N,...}
 //   GET  /runz          obs::RunStatus (phase "serve")
 //
+// Over an empty registry the daemon is the metrics plane of some other run
+// (--serve-metrics on mldist_cli and every bench): /v1/classify answers 404
+// and the daemon leaves obs::RunStatus, phase and detail, to that run.
+//
 // Connection lifecycle: the event loop owns a connection while reading and
 // while writing inline responses (non-blocking, POLLOUT-driven).  A
 // classify request that clears admission control transfers its fd to the
@@ -53,7 +57,8 @@ struct ServeOptions {
 
 class ServeDaemon {
  public:
-  /// `registry` must be loaded before start() and outlive the daemon.
+  /// `registry` must be loaded before start() and outlive the daemon.  An
+  /// empty one makes a metrics-only daemon (see the file comment).
   explicit ServeDaemon(const ModelRegistry& registry);
   ~ServeDaemon();
 

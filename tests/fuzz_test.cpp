@@ -9,7 +9,8 @@
 //   cmake --build build-san -j && ctest --test-dir build-san -L fuzz
 //
 // Seeds: examples/paper_grid.json, the WAL and history of a one-cell serial
-// campaign, an obs trace file, classify request bodies and a saved .nnb.
+// campaign, an obs trace file, classify request bodies, raw HTTP requests
+// and a saved .nnb.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -31,6 +32,7 @@
 #include "nn/dense.hpp"
 #include "nn/model.hpp"
 #include "nn/serialize.hpp"
+#include "obs/http.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_merge.hpp"
 #include "serve/protocol.hpp"
@@ -69,11 +71,12 @@ class Mutator {
     return s;
   }
 
- private:
+  /// A draw in [0, bound) from the same seeded stream.
   std::size_t pick(std::size_t bound) {
     return bound == 0 ? 0 : static_cast<std::size_t>(rng_.next_below(bound));
   }
 
+ private:
   void mutate(std::string& s) {
     // Half the inserted bytes are JSON punctuation, so mutants keep
     // reaching past the first token.
@@ -244,6 +247,66 @@ TEST_F(Fuzz, ClassifyRequest) {
       ASSERT_FALSE(error.empty()) << input;
     }
   }
+}
+
+TEST_F(Fuzz, HttpRequest) {
+  // Small caps, so mutants reach the 413 and 431 paths as well as 400.
+  constexpr std::size_t kCap = 64;
+  const std::string body = classify_bodies()[0];
+  const std::string pad = "GET /x HTTP/1.1\r\nX-Pad: ";
+  const std::vector<std::string> seeds = {
+      "GET /metrics?x=1 HTTP/1.1\r\nHost: h\r\n\r\n",
+      "POST /v1/classify HTTP/1.1\r\nContent-Length: " +
+          std::to_string(body.size()) + "\r\nX-Request-Id: r\r\n\r\n" + body,
+      // Header terminator starting at byte kCap, the last accepted offset.
+      pad + std::string(kCap - pad.size(), 'a') + "\r\n\r\n"};
+  for (const std::string& seed : seeds) {
+    obs::HttpRequestReader reader(kCap, kCap);
+    reader.feed(seed.data(), seed.size());
+    ASSERT_TRUE(reader.complete()) << seed;
+  }
+  Mutator mutator(seeds, 0xf022'0007);
+  int completed = 0;
+  int failed = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string input = mutator.next();
+    // Fed in recv-sized chunks until it completes or fails, as the daemon's
+    // event loop does...
+    obs::HttpRequestReader chunked(kCap, kCap);
+    std::size_t fed = 0;
+    while (fed < input.size() && !chunked.complete() && !chunked.failed()) {
+      const std::size_t n = std::min(input.size() - fed, 1 + mutator.pick(24));
+      chunked.feed(input.data() + fed, n);
+      fed += n;
+    }
+    // ...the reader ends as a one-shot reader of the same bytes does.
+    obs::HttpRequestReader whole(kCap, kCap);
+    whole.feed(input.data(), fed);
+    ASSERT_EQ(chunked.complete(), whole.complete()) << input;
+    ASSERT_EQ(chunked.failed(), whole.failed()) << input;
+    if (chunked.complete()) {
+      ++completed;
+      ASSERT_EQ(chunked.method(), whole.method()) << input;
+      ASSERT_EQ(chunked.path(), whole.path()) << input;
+      ASSERT_EQ(chunked.body(), whole.body()) << input;
+      ASSERT_EQ(chunked.header("x-request-id"), whole.header("x-request-id"))
+          << input;
+    } else if (chunked.failed()) {
+      ++failed;
+      const int status = chunked.error_status();
+      ASSERT_TRUE(status == 400 || status == 413 || status == 431) << status;
+      ASSERT_EQ(status, whole.error_status()) << input;
+      ASSERT_FALSE(chunked.error_detail().empty()) << input;
+      // A failure is final: the rest of the bytes cannot rescue the
+      // request, so where recv split them cannot decide the verdict.
+      obs::HttpRequestReader all(kCap, kCap);
+      all.feed(input.data(), input.size());
+      ASSERT_TRUE(all.failed()) << input;
+      ASSERT_EQ(all.error_status(), status) << input;
+    }
+  }
+  EXPECT_GT(completed, 0);
+  EXPECT_GT(failed, 0);
 }
 
 TEST_F(Fuzz, JournalReplay) {

@@ -452,29 +452,32 @@ TEST(GemmEquivalence, EachIrPassPreservesBitwiseOutput) {
 
 TEST(GimliBatchEquivalence, AllRoundWindowsAllImpls) {
   Xoshiro256 rng(0x88);
-  const std::size_t n = 13;  // crosses the 8-lane AVX2 chunk + scalar tail
-  for (int hi = 1; hi <= ciphers::kGimliRounds; ++hi) {
-    for (int lo = 1; lo <= hi; ++lo) {
-      std::vector<std::uint32_t> soa(12 * n);
-      for (auto& w : soa) w = rng.next_u32();
-      // Scalar specification: ciphers::gimli_rounds per state.
-      std::vector<ciphers::GimliState> want(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        for (int w = 0; w < 12; ++w) {
-          want[s][static_cast<std::size_t>(w)] =
-              soa[static_cast<std::size_t>(w) * n + s];
-        }
-        ciphers::gimli_rounds(want[s], hi, lo);
-      }
-      for (Impl impl : kernels::available_impls()) {
-        std::vector<std::uint32_t> got = soa;
-        kernels::gimli_rounds_batch_impl(impl, got.data(), n, hi, lo);
+  // 13 = 8-lane block + scalar tail; 29 = 16-lane + 8-lane blocks + tail.
+  for (const std::size_t n : {13u, 29u}) {
+    for (int hi = 1; hi <= ciphers::kGimliRounds; ++hi) {
+      for (int lo = 1; lo <= hi; ++lo) {
+        std::vector<std::uint32_t> soa(12 * n);
+        for (auto& w : soa) w = rng.next_u32();
+        // Scalar specification: ciphers::gimli_rounds per state.
+        std::vector<ciphers::GimliState> want(n);
         for (std::size_t s = 0; s < n; ++s) {
           for (int w = 0; w < 12; ++w) {
-            ASSERT_EQ(got[static_cast<std::size_t>(w) * n + s],
-                      want[s][static_cast<std::size_t>(w)])
-                << "impl=" << kernels::impl_name(impl) << " hi=" << hi
-                << " lo=" << lo << " state=" << s << " word=" << w;
+            want[s][static_cast<std::size_t>(w)] =
+                soa[static_cast<std::size_t>(w) * n + s];
+          }
+          ciphers::gimli_rounds(want[s], hi, lo);
+        }
+        for (Impl impl : kernels::available_impls()) {
+          std::vector<std::uint32_t> got = soa;
+          kernels::gimli_rounds_batch_impl(impl, got.data(), n, hi, lo);
+          for (std::size_t s = 0; s < n; ++s) {
+            for (int w = 0; w < 12; ++w) {
+              ASSERT_EQ(got[static_cast<std::size_t>(w) * n + s],
+                        want[s][static_cast<std::size_t>(w)])
+                  << "impl=" << kernels::impl_name(impl) << " n=" << n
+                  << " hi=" << hi << " lo=" << lo << " state=" << s
+                  << " word=" << w;
+            }
           }
         }
       }

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,10 +35,11 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/http.hpp"
-#include "obs/server.hpp"
 #include "obs/ship.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_merge.hpp"
+#include "serve/daemon.hpp"
+#include "serve/registry.hpp"
 #include "util/process.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -780,8 +782,11 @@ TEST(Export, RenderedSnapshotPassesGrammar) {
 }
 
 // ---------------------------------------------------------------------------
-// embedded HTTP server — raw-socket client, same protocol as curl
+// the --serve-metrics plane: a serving daemon with no models, driven by a
+// raw-socket client that speaks the same protocol as curl
 // ---------------------------------------------------------------------------
+
+const serve::ModelRegistry kNoModels;
 
 struct HttpResponse {
   int status = 0;
@@ -820,9 +825,9 @@ HttpResponse http_get(std::uint16_t port, const std::string& path) {
 }
 
 TEST(Server, ServesMetricsHealthzRunzAnd404) {
-  obs::MetricsServer server;
+  serve::ServeDaemon server(kNoModels);
   std::string error;
-  ASSERT_TRUE(server.start(0, &error)) << error;  // ephemeral port
+  ASSERT_TRUE(server.start({}, &error)) << error;  // ephemeral port
   ASSERT_NE(server.port(), 0);
 
   const HttpResponse health = http_get(server.port(), "/healthz");
@@ -853,10 +858,10 @@ TEST(Server, ServesMetricsHealthzRunzAnd404) {
 }
 
 TEST(Server, DoubleStartIsHarmlessAndPortIsStable) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  serve::ServeDaemon server(kNoModels);
+  ASSERT_TRUE(server.start({}));
   const std::uint16_t port = server.port();
-  EXPECT_TRUE(server.start(0));  // already running -> true, same port
+  EXPECT_TRUE(server.start({}));  // already running -> true, same port
   EXPECT_EQ(server.port(), port);
   server.stop();
 }
@@ -866,9 +871,9 @@ TEST(Server, DoubleStartIsHarmlessAndPortIsStable) {
 // grammar, and require the fit-progress counter to be monotonically
 // increasing across epochs — live observability, not post-hoc.
 TEST(Server, LiveMetricsDuringTrainingAreGrammaticalAndMonotone) {
-  obs::MetricsServer server;
+  serve::ServeDaemon server(kNoModels);
   std::string error;
-  ASSERT_TRUE(server.start(0, &error)) << error;
+  ASSERT_TRUE(server.start({}, &error)) << error;
 
   const core::GimliHashTarget target(4);
   core::CollectOptions copt;
@@ -976,6 +981,26 @@ TEST(HttpReader, RejectsMalformedOversizedAndExcessInput) {
     ASSERT_TRUE(reader.failed());
     EXPECT_EQ(reader.error_status(), 431);
   }
+  {  // the 431 verdict does not depend on where recv splits the bytes: a
+     // terminator starting at the cap (byte 64) is accepted however the
+     // block arrives, one starting a byte later never is
+    const std::string head = "GET /x HTTP/1.1\r\nX-Pad: ";
+    for (const std::size_t terminator_at : {64u, 65u}) {
+      const std::string req =
+          head + std::string(terminator_at - head.size(), 'a') + "\r\n\r\n";
+      for (std::size_t split = 0; split <= req.size(); ++split) {
+        obs::HttpRequestReader reader(/*max_header=*/64, /*max_body=*/64);
+        reader.feed(req.data(), split);
+        reader.feed(req.data() + split, req.size() - split);
+        if (terminator_at == 64) {
+          EXPECT_TRUE(reader.complete()) << "split at " << split;
+        } else {
+          ASSERT_TRUE(reader.failed()) << "split at " << split;
+          EXPECT_EQ(reader.error_status(), 431) << "split at " << split;
+        }
+      }
+    }
+  }
   {  // declared body beyond the cap -> 413
     obs::HttpRequestReader reader(/*max_header=*/1024, /*max_body=*/8);
     const std::string req = "POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\n";
@@ -993,12 +1018,21 @@ TEST(HttpReader, RejectsMalformedOversizedAndExcessInput) {
   }
 }
 
+TEST(ParsePort, AcceptsDecimalZeroTo65535Only) {
+  EXPECT_EQ(obs::parse_port("0"), std::optional<std::uint16_t>(0));
+  EXPECT_EQ(obs::parse_port("8080"), std::optional<std::uint16_t>(8080));
+  EXPECT_EQ(obs::parse_port("65535"), std::optional<std::uint16_t>(65535));
+  for (const char* bad : {"", "-5", "+80", " 80", "80x", "65536", "abc"}) {
+    EXPECT_FALSE(obs::parse_port(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 // Regression (satellite fix): the pre-fix server did one blocking recv and
 // parsed whatever arrived, so a request split across two send(2) calls got
 // truncated.  Now the connection loop reassembles until complete.
 TEST(Server, ReassemblesRequestSplitAcrossTwoSends) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  serve::ServeDaemon server(kNoModels);
+  ASSERT_TRUE(server.start({}));
   const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
   const std::string part1 = "GET /met";
@@ -1019,8 +1053,8 @@ TEST(Server, ReassemblesRequestSplitAcrossTwoSends) {
 // answers 408 and the server moves on; a concurrent scrape must succeed
 // while the idle connection is still open.
 TEST(Server, IdleClientGets408AndDoesNotStarveScrapes) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  serve::ServeDaemon server(kNoModels);
+  ASSERT_TRUE(server.start({}));
 
   const int idle_fd = connect_loopback(server.port());
   ASSERT_GE(idle_fd, 0);
@@ -1042,8 +1076,8 @@ TEST(Server, IdleClientGets408AndDoesNotStarveScrapes) {
 }
 
 TEST(Server, OversizedHeadersAreRejectedWith431) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  serve::ServeDaemon server(kNoModels);
+  ASSERT_TRUE(server.start({}));
   const int fd = connect_loopback(server.port());
   ASSERT_GE(fd, 0);
   const std::string req =
@@ -1061,8 +1095,8 @@ TEST(Server, OversizedHeadersAreRejectedWith431) {
 // sockets the port is immediately re-bindable (no SO_REUSEADDR here — the
 // raw bind only succeeds when nothing holds the address).
 TEST(Server, ListenSocketIsNotInheritedBySpawnedChildren) {
-  obs::MetricsServer server;
-  ASSERT_TRUE(server.start(0));
+  serve::ServeDaemon server(kNoModels);
+  ASSERT_TRUE(server.start({}));
   const std::uint16_t port = server.port();
 
   // Child spawned while the server is live: before the fix it inherited

@@ -44,6 +44,7 @@
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/registry.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 
 namespace mldist::bench {
@@ -82,14 +83,19 @@ inline serve::ServeDaemon& metrics_server() {
 inline Options parse_options(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
+    // The value after argv[i], checked; a malformed one exits 2.
+    const auto number = [&](auto& out, bool hex) {
+      if (!util::flag_value(argv[i], argv[i + 1], out, 0, hex)) std::exit(2);
+      ++i;
+    };
     if (std::strcmp(argv[i], "--full") == 0) {
       opt.full = true;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       opt.full = false;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 0);
+      number(opt.seed, /*hex=*/true);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opt.threads = std::strtoull(argv[++i], nullptr, 0);
+      number(opt.threads, /*hex=*/true);
     } else if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
       try {
         kernels::set_dispatch(argv[++i]);
@@ -98,9 +104,9 @@ inline Options parse_options(int argc, char** argv) {
         std::exit(2);
       }
     } else if (std::strcmp(argv[i], "--base") == 0 && i + 1 < argc) {
-      opt.base_override = std::strtoull(argv[++i], nullptr, 0);
+      number(opt.base_override, /*hex=*/true);
     } else if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc) {
-      opt.epochs_override = std::atoi(argv[++i]);
+      number(opt.epochs_override, /*hex=*/false);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       obs::Tracer::global().enable(argv[++i]);
     } else if (std::strcmp(argv[i], "--serve-metrics") == 0 && i + 1 < argc) {

@@ -1,15 +1,15 @@
 // Serving-plane saturation: offered load vs latency for the batched
-// distinguisher daemon, and the throughput case for coalescing.
+// distinguisher daemon, and the throughput case for batching.
 //
 // Two daemon configurations serve the same untrained gohr-net/16 registry
 // (the weights are irrelevant to the cost model — serving is pure forward
 // passes):
 //
-//   batch-1  batch_window_us=0, batch_max_rows=1 — every request runs its
-//            own predict call; the per-request forward cost is the floor
-//            the coalescing exists to amortise.
-//   batched  the default coalescing window (200us) and batch cap (64) —
-//            concurrent requests share one batched GEMM.
+//   batch-1  batch_max_rows=1 — every request runs its own predict call;
+//            the per-request forward cost is the floor batching exists to
+//            amortise.
+//   batched  the default batch cap (64) — requests that queue while a
+//            forward runs share the next batched GEMM.
 //
 // Closed-loop clients (1..N threads, each request waits for its response)
 // sweep the offered load; per load point the bench records req/s and the
@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
   // ciphertext-pair shape of a Gohr-style distinguisher.  The depth-16
   // residual tower keeps the batch-1 forward ceiling (~1k req/s on a
   // 4-core host) below the HTTP plane's capacity, so the sweep measures
-  // the coalescing win, not socket overhead.
+  // the batching win, not socket overhead.
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("mldist_bench_serving_" + std::to_string(::getpid())))
@@ -307,9 +307,8 @@ int main(int argc, char** argv) {
   constexpr int kRounds = 15;
 
   serve::ServeOptions batch1;
-  batch1.batch.batch_window_us = 0;
   batch1.batch.batch_max_rows = 1;
-  serve::ServeOptions batched;  // the default coalescing configuration
+  serve::ServeOptions batched;  // the default batching configuration
 
   // Both daemons serve for the whole bench.
   serve::ServeDaemon batch1_daemon(registry);
@@ -431,7 +430,6 @@ int main(int argc, char** argv) {
   j.raw("options", bench::options_json(opt))
       .field("model", "gohr-net/16")
       .field("input_bits", 64)
-      .field("window_us", batched.batch.batch_window_us)
       .field("batch_max_rows",
              static_cast<std::uint64_t>(batched.batch.batch_max_rows))
       .field("load_seconds", seconds)

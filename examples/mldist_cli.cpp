@@ -17,6 +17,7 @@
 // 3 runtime failure (I/O, corrupt model file, ...).  Failures print a
 // structured error — a JSON error record under --json — instead of crashing
 // with an unhandled exception.
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -45,6 +46,7 @@
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/registry.hpp"
+#include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -78,7 +80,7 @@ struct Args {
 
   // --- serve subcommand ----------------------------------------------------
   std::string registry_dir;          ///< --registry DIR of *.nnb models
-  serve::ServeOptions serve_opt;     ///< --port / --batch-* / --queue-max-rows
+  serve::ServeOptions serve_opt;     ///< --port / --batch-max-rows / ...
 };
 
 std::vector<std::string> split_commas(const std::string& text) {
@@ -133,18 +135,20 @@ bool parse(int argc, char** argv, Args& out) {
     }
     const char* v = next();
     if (!v) return false;
+    const char* f = flag.c_str();
     if (flag == "--target") {
       out.config.target = v;
     } else if (flag == "--rounds") {
-      out.config.rounds = std::atoi(v);
+      if (!util::flag_value(f, v, out.config.rounds)) return false;
     } else if (flag == "--epochs") {
-      out.config.epochs = std::atoi(v);
+      if (!util::flag_value(f, v, out.config.epochs, 1)) return false;
     } else if (flag == "--samples") {
-      const std::size_t samples = std::strtoull(v, nullptr, 10);
+      std::size_t samples = 0;
+      if (!util::flag_value(f, v, samples, 1)) return false;
       out.config.offline_base_inputs = samples;
       out.config.online_base_inputs = samples;
     } else if (flag == "--threads") {
-      out.config.threads = std::strtoull(v, nullptr, 10);
+      if (!util::flag_value(f, v, out.config.threads)) return false;
     } else if (flag == "--kernel") {
       // Same resolver as the MLDIST_KERNEL environment variable; unknown or
       // unsupported names emit a structured obs::Logger warning (source
@@ -173,7 +177,11 @@ bool parse(int argc, char** argv, Args& out) {
     } else if (flag == "--diffs") {
       out.config.diffs.clear();
       for (const std::string& d : split_commas(v)) {
-        out.config.diffs.push_back(std::strtoull(d.c_str(), nullptr, 0));
+        std::uint64_t mask = 0;
+        if (!util::flag_value(f, d.c_str(), mask, 0, /*hex=*/true)) {
+          return false;
+        }
+        out.config.diffs.push_back(mask);
       }
     } else if (flag == "--spec") {
       out.spec_path = v;
@@ -181,16 +189,27 @@ bool parse(int argc, char** argv, Args& out) {
       out.targets = split_commas(v);
     } else if (flag == "--rounds-list") {
       for (const std::string& r : split_commas(v)) {
-        out.rounds_list.push_back(std::atoi(r.c_str()));
+        int rounds = 0;
+        if (!util::flag_value(f, r.c_str(), rounds)) return false;
+        out.rounds_list.push_back(rounds);
       }
     } else if (flag == "--archs") {
       out.archs = split_commas(v);
     } else if (flag == "--workers") {
-      out.sup.workers = std::strtoull(v, nullptr, 10);
+      if (!util::flag_value(f, v, out.sup.workers)) return false;
     } else if (flag == "--cell-timeout") {
-      out.sup.cell_timeout_s = std::atof(v);
+      double seconds = 0.0;
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, seconds);
+      if (ec != std::errc() || ptr != end || !std::isfinite(seconds) ||
+          seconds <= 0.0) {
+        std::fprintf(stderr, "%s: '%s' is not a positive number of seconds\n",
+                     f, v);
+        return false;
+      }
+      out.sup.cell_timeout_s = seconds;
     } else if (flag == "--max-cell-retries") {
-      out.sup.max_cell_retries = std::atoi(v);
+      if (!util::flag_value(f, v, out.sup.max_cell_retries, 1)) return false;
     } else if (flag == "--state-dir") {
       out.sup.state_dir = v;
     } else if (flag == "--registry") {
@@ -199,26 +218,37 @@ bool parse(int argc, char** argv, Args& out) {
       const std::optional<std::uint16_t> port = port_arg(flag, v);
       if (!port) return false;
       out.serve_opt.port = *port;
-    } else if (flag == "--batch-window-us") {
-      out.serve_opt.batch.batch_window_us = std::atoi(v);
     } else if (flag == "--batch-max-rows") {
-      out.serve_opt.batch.batch_max_rows = std::strtoull(v, nullptr, 10);
+      if (!util::flag_value(f, v, out.serve_opt.batch.batch_max_rows, 1)) {
+        return false;
+      }
     } else if (flag == "--queue-max-rows") {
-      out.serve_opt.batch.queue_max_rows = std::strtoull(v, nullptr, 10);
+      if (!util::flag_value(f, v, out.serve_opt.batch.queue_max_rows, 1)) {
+        return false;
+      }
     } else if (flag == "--read-timeout-ms") {
-      out.serve_opt.read_timeout_ms = std::atoi(v);
+      if (!util::flag_value(f, v, out.serve_opt.read_timeout_ms, 1)) {
+        return false;
+      }
     } else if (flag == "--slow-request-ms") {
-      out.serve_opt.batch.slow_request_ms = std::atoi(v);
+      if (!util::flag_value(f, v, out.serve_opt.batch.slow_request_ms)) {
+        return false;
+      }
     } else if (flag == "--request-id-seed") {
-      out.serve_opt.request_id_seed = std::strtoull(v, nullptr, 0);
+      if (!util::flag_value(f, v, out.serve_opt.request_id_seed, 0,
+                            /*hex=*/true)) {
+        return false;
+      }
     } else if (flag == "--model") {
       out.model_path = v;
     } else if (flag == "--oracle") {
       out.oracle = v;
     } else if (flag == "--seed") {
-      out.config.seed = std::strtoull(v, nullptr, 0);
+      if (!util::flag_value(f, v, out.config.seed, 0, /*hex=*/true)) {
+        return false;
+      }
     } else if (flag == "--retries") {
-      out.config.max_retries = std::atoi(v);
+      if (!util::flag_value(f, v, out.config.max_retries)) return false;
     } else if (flag == "--checkpoint") {
       out.config.checkpoint_path = v;
     } else if (flag == "--trace") {
@@ -285,10 +315,10 @@ int usage() {
                "[--max-cell-retries N]\n"
                "             [--samples N] [--epochs E] [--seed S] [--json]\n"
                "  mldist_cli serve --registry DIR [--port P] "
-               "[--batch-window-us N]\n"
-               "             [--batch-max-rows N] [--queue-max-rows N] "
-               "[--read-timeout-ms N]\n"
-               "             [--slow-request-ms N] [--request-id-seed S]\n"
+               "[--batch-max-rows N]\n"
+               "             [--queue-max-rows N] [--read-timeout-ms N] "
+               "[--slow-request-ms N]\n"
+               "             [--request-id-seed S]\n"
                "  mldist_cli list\n"
                "train/test also accept --passes to override the IR "
                "optimisation pipeline,\n"

@@ -100,12 +100,9 @@ class Mapper {
                       "\"" + key + "\" must be an integer or a hex string, "
                       "got " + std::string(v.kind_name()));
     }
-    const std::string_view raw = v.text;
-    const bool hex = v.kind == Value::Kind::kString && raw.size() > 2 &&
-                     raw[0] == '0' && (raw[1] == 'x' || raw[1] == 'X');
+    // A JSON number never starts with 0x, so only strings can be hex.
     std::uint64_t out = 0;
-    const std::errc ec =
-        util::json::parse_u64(hex ? raw.substr(2) : raw, out, hex ? 16 : 10);
+    const std::errc ec = util::json::parse_u64_or_hex(v.text, out);
     if (ec == std::errc::result_out_of_range) {
       throw SpecError(origin_, v.line,
                       "\"" + key + "\" is out of range (above 2^64-1): " +

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "util/crc32.hpp"
 #include "util/json.hpp"
@@ -57,6 +58,7 @@ RunManifest& RunManifest::current() {
     m->run_id = mint_run_id();
     m->git_describe = MLDIST_GIT_DESCRIBE;
     m->hostname = read_hostname();
+    m->cores = std::thread::hardware_concurrency();
     m->build_flags = MLDIST_BUILD_FLAGS;
     return m;
   }();
@@ -81,6 +83,7 @@ std::string RunManifest::to_json() const {
       .field("kernel", kernel)
       .field("git", git_describe)
       .field("hostname", hostname)
+      .field("cores", static_cast<std::uint64_t>(cores))
       .field("build", build_flags);
   return j.str();
 }

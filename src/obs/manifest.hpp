@@ -4,7 +4,7 @@
 // machine that produced it.
 //
 //   {"run_id":"9f2c...","config_hash":"1a2b3c4d","seed":42,
-//    "kernel":"avx2","git":"cc53008","hostname":"box",
+//    "kernel":"avx2","git":"cc53008","hostname":"box","cores":4,
 //    "build":"Release GNU 13.2"}
 //
 // run_id is minted once per process (wall clock + pid mixed through
@@ -37,10 +37,12 @@ struct RunManifest {
   std::string kernel;       ///< dispatch impl name; "" until stamped
   std::string git_describe;
   std::string hostname;
+  /// std::thread::hardware_concurrency(): the size the global pool takes.
+  unsigned cores = 0;
   std::string build_flags;
 
   /// The process-wide manifest, pre-filled with run_id / git / hostname /
-  /// build flags.  Entry points stamp config_hash, seed and kernel.
+  /// cores / build flags.  Entry points stamp config_hash, seed and kernel.
   static RunManifest& current();
 
   /// Stamp config_hash (CRC-32 of `config_json`) and the seed.

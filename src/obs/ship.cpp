@@ -1,6 +1,6 @@
 #include "obs/ship.hpp"
 
-#include <cstdlib>
+#include <exception>
 #include <vector>
 
 namespace mldist::obs {
@@ -54,6 +54,45 @@ const T* find_sorted(const std::vector<std::pair<std::string, T>>& entries,
 void append_record(std::string& out, const std::string& record) {
   if (!out.empty()) out += kRec;
   out += record;
+}
+
+/// Decode one record (no 0x1e inside) into `d`; false when malformed.
+bool decode_record(std::string_view rec, MetricDelta& d) {
+  const std::vector<std::string_view> f = split(rec, kField);
+  if (f.size() < 3 || f[0].size() != 1 || f[1].empty()) return false;
+  d.name = f[1];
+  switch (f[0][0]) {
+    case 'C':
+      d.kind = MetricDelta::Kind::kCounter;
+      return f.size() == 3 && parse_u64(f[2], d.value);
+    case 'G':
+      d.kind = MetricDelta::Kind::kGauge;
+      return f.size() == 3 && parse_u64(f[2], d.value);
+    case 'H':
+      d.kind = MetricDelta::Kind::kHistogram;
+      break;
+    default:
+      return false;
+  }
+  if (f.size() != 7 || !parse_u64(f[2], d.value) || !parse_u64(f[3], d.sum) ||
+      !parse_u64(f[4], d.min) || !parse_u64(f[5], d.max)) {
+    return false;
+  }
+  const std::vector<std::string_view> pairs = split(f[6], ';');
+  d.buckets.reserve(pairs.size());
+  for (std::string_view pair : pairs) {
+    if (pair.empty()) continue;
+    const std::size_t colon = pair.find(':');
+    std::uint64_t bucket = 0;
+    std::uint64_t n = 0;
+    if (colon == std::string_view::npos ||
+        !parse_u64(pair.substr(0, colon), bucket) ||
+        !parse_u64(pair.substr(colon + 1), n) || bucket >= kHistogramBuckets) {
+      return false;
+    }
+    d.buckets.emplace_back(bucket, n);
+  }
+  return true;
 }
 
 }  // namespace
@@ -117,58 +156,46 @@ std::string encode_metrics_delta(const MetricsSnapshot& prev,
   return out;
 }
 
-bool apply_metrics_delta(std::string_view record, const std::string& prefix,
-                         MetricsRegistry& into) {
-  if (record.empty()) return true;
+bool decode_metrics_delta(std::string_view line,
+                          std::vector<MetricDelta>& out) {
   bool ok = true;
-  for (std::string_view rec : split(record, kRec)) {
+  for (std::string_view rec : split(line, kRec)) {
     if (rec.empty()) continue;
-    const std::vector<std::string_view> f = split(rec, kField);
+    MetricDelta d;
+    if (!decode_record(rec, d)) {
+      ok = false;
+    } else if (d.kind != MetricDelta::Kind::kHistogram || d.value > 0) {
+      out.push_back(std::move(d));
+    }
+  }
+  return ok;
+}
+
+bool apply_metrics_delta(std::string_view line, const std::string& prefix) {
+  std::vector<MetricDelta> deltas;
+  bool ok = decode_metrics_delta(line, deltas);
+  MetricsRegistry& reg = MetricsRegistry::global();
+  std::string name;
+  for (const MetricDelta& d : deltas) {
+    name.assign(prefix).append(d.name);
     try {
-      if (f[0] == "C" && f.size() == 3) {
-        std::uint64_t delta = 0;
-        if (f[1].empty() || !parse_u64(f[2], delta)) {
-          ok = false;
-          continue;
+      switch (d.kind) {
+        case MetricDelta::Kind::kCounter:
+          reg.add(reg.counter(name), d.value);
+          break;
+        case MetricDelta::Kind::kGauge:
+          reg.set_gauge(reg.gauge(name), d.value);
+          break;
+        case MetricDelta::Kind::kHistogram: {
+          HistogramSnapshot h;
+          h.count = d.value;
+          h.sum = d.sum;
+          h.min = d.min;
+          h.max = d.max;
+          for (const auto& [bucket, n] : d.buckets) h.buckets[bucket] = n;
+          reg.merge_histogram(reg.histogram(name), h);
+          break;
         }
-        into.add(into.counter(prefix + std::string(f[1])), delta);
-      } else if (f[0] == "G" && f.size() == 3) {
-        std::uint64_t value = 0;
-        if (f[1].empty() || !parse_u64(f[2], value)) {
-          ok = false;
-          continue;
-        }
-        into.set_gauge(into.gauge(prefix + std::string(f[1])), value);
-      } else if (f[0] == "H" && f.size() == 7) {
-        HistogramSnapshot delta;
-        bool fields_ok = !f[1].empty() && parse_u64(f[2], delta.count) &&
-                         parse_u64(f[3], delta.sum) &&
-                         parse_u64(f[4], delta.min) &&
-                         parse_u64(f[5], delta.max);
-        if (fields_ok) {
-          for (std::string_view pair : split(f[6], ';')) {
-            if (pair.empty()) continue;
-            const std::size_t colon = pair.find(':');
-            std::uint64_t bucket = 0;
-            std::uint64_t n = 0;
-            if (colon == std::string_view::npos ||
-                !parse_u64(pair.substr(0, colon), bucket) ||
-                !parse_u64(pair.substr(colon + 1), n) ||
-                bucket >= kHistogramBuckets) {
-              fields_ok = false;
-              break;
-            }
-            delta.buckets[bucket] = n;
-          }
-        }
-        if (!fields_ok || delta.count == 0) {
-          ok = fields_ok && ok;
-          continue;
-        }
-        into.merge_histogram(into.histogram(prefix + std::string(f[1])),
-                             delta);
-      } else {
-        ok = false;
       }
     } catch (const std::exception&) {
       // Registry capacity exhausted or a kind collision on the prefixed
@@ -177,10 +204,6 @@ bool apply_metrics_delta(std::string_view record, const std::string& prefix,
     }
   }
   return ok;
-}
-
-bool apply_metrics_delta(std::string_view record, const std::string& prefix) {
-  return apply_metrics_delta(record, prefix, MetricsRegistry::global());
 }
 
 }  // namespace mldist::obs

@@ -4,9 +4,9 @@
 // A worker periodically snapshots its registry, encodes the DELTA since the
 // previous ship as one framed line, and writes it to the supervisor over
 // the status pipe as an `OBS` record.  The supervisor decodes the record
-// and folds it into its own registry under a "campaign.worker." prefix, so
-// one /metrics scrape of the supervisor shows live training counters from
-// every worker.
+// (a pure function of the bytes) and folds the result into its own
+// registry under a "campaign.worker." prefix, so one /metrics scrape of the
+// supervisor shows live training counters from every worker.
 //
 // Determinism contract (the PR 4 rule, extended across processes): every
 // shipped quantity is an unsigned 64-bit integer and every merge is u64
@@ -34,8 +34,11 @@
 // are the worker's cumulative values (mergeable by min/max fold).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -49,15 +52,36 @@ namespace mldist::obs {
 std::string encode_metrics_delta(const MetricsSnapshot& prev,
                                  const MetricsSnapshot& cur);
 
-/// Decode `record` and fold it into `into` with every metric name prefixed
-/// by `prefix` (e.g. "campaign.worker.").  Returns false on a malformed
-/// record (nothing is applied for the malformed tail; records already
-/// consumed stay applied) or when registering a prefixed name exhausts the
-/// registry capacity.
-bool apply_metrics_delta(std::string_view record, const std::string& prefix,
-                         MetricsRegistry& into);
+/// One decoded wire record, under its unprefixed name.
+struct MetricDelta {
+  enum class Kind { kCounter, kGauge, kHistogram };
+  Kind kind = Kind::kCounter;
+  std::string name;
+  /// Counter increment, gauge value, or histogram count delta.
+  std::uint64_t value = 0;
+  // Histograms only: the sum delta, the sender's cumulative min and max,
+  // and (bucket index, count delta) pairs in wire order.
+  std::uint64_t sum = 0;
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+  std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
 
-/// Convenience overload targeting the process-global registry.
-bool apply_metrics_delta(std::string_view record, const std::string& prefix);
+  bool operator==(const MetricDelta&) const = default;
+};
+
+/// Decode a shipped line into `out` (appended, in wire order).  Pure: it
+/// touches no registry.  Malformed records are skipped and make the result
+/// false; the well-formed records around them are still decoded.  A
+/// histogram record with a zero count is well-formed but carries nothing,
+/// so it decodes to no entry.
+bool decode_metrics_delta(std::string_view line,
+                          std::vector<MetricDelta>& out);
+
+/// Decode `line` and fold it into the process-global registry with every
+/// metric name prefixed by `prefix` (e.g. "campaign.worker.").  Returns
+/// false when a record is malformed or its prefixed name cannot be
+/// registered (capacity exhausted, or taken by another metric kind); every
+/// other record still applies.
+bool apply_metrics_delta(std::string_view line, const std::string& prefix);
 
 }  // namespace mldist::obs

@@ -70,34 +70,33 @@ void ModelWorker::stop() {
 }
 
 void ModelWorker::loop() {
+  bool idle = true;  // the queue was empty when the worker last looked,
+                     // or it has not looked yet
   while (true) {
     std::vector<ClassifyJob> batch;
     std::size_t rows = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      if (queue_.empty()) idle = true;
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ with nothing left to drain
-      // Coalescing window: from the FIRST waiting job, give the rest of
-      // the in-flight requests up to batch_window_us to arrive, unless the
-      // batch is already full.  On shutdown the window is skipped — drain
-      // at whatever batch sizes the queue holds.
-      if (opt_.batch_window_us > 0) {
-        const auto window_end =
-            std::chrono::steady_clock::time_point(
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::nanoseconds(queue_.front().enqueue_ns) +
-                    std::chrono::microseconds(opt_.batch_window_us)));
-        cv_.wait_until(lock, window_end, [this] {
-          return stop_ || queued_rows_ >= opt_.batch_max_rows;
-        });
-      }
+      // Take what queued during the last forward, in order, up to
+      // batch_max_rows.  An idle worker takes only the job that woke it,
+      // as if waking took no time: jobs that arrived while this thread was
+      // being scheduled would otherwise join it, and how many do follows
+      // the host's wake-up latency, not the load.  No timer either way:
+      // jobs arriving during the forward below form the next batch.
       while (!queue_.empty()) {
         ClassifyJob& j = queue_.front();
-        if (!batch.empty() && rows + j.rows > opt_.batch_max_rows) break;
+        if (!batch.empty() &&
+            (idle || rows + j.rows > opt_.batch_max_rows)) {
+          break;
+        }
         rows += j.rows;
         batch.push_back(std::move(j));
         queue_.pop_front();
       }
+      idle = false;
       queued_rows_ -= rows;
       obs::MetricsRegistry::global().set_gauge(queue_depth_gauge_,
                                                queued_rows_);
@@ -116,10 +115,10 @@ void ModelWorker::run_batch(std::vector<ClassifyJob>& batch,
     reg.observe(queue_wait_hist_, assembled_ns - job.enqueue_ns);
   }
 
-  // One batched forward for every coalesced request.  Row independence
+  // One forward for every request in the batch.  Row independence
   // (nn/model.hpp predict contract) makes each row's probabilities
-  // bitwise identical to a batch-size-1 run, so coalescing is invisible
-  // to clients byte-for-byte.
+  // bitwise identical to a batch-size-1 run, so batching is invisible to
+  // clients byte-for-byte.
   nn::Mat x(rows, entry_.input_bits);
   std::size_t r = 0;
   for (const ClassifyJob& job : batch) {

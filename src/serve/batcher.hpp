@@ -1,13 +1,16 @@
-// Per-model request coalescing (DESIGN.md §15).
+// Per-model request batching (DESIGN.md §15).
 //
 // Throughput on the serving plane must come from the batched GEMM kernels,
 // not from threads-per-request: a ModelWorker owns one model's queue and
-// one worker thread that gathers every classify job in flight — up to a
-// configurable coalescing window (default 200µs) or until batch_max_rows
-// rows are waiting — and answers them all with ONE batched predict_proba
-// call.  A 64-row batch through the AVX2 GEMM costs far less than 64
-// single-row forwards, so saturated throughput scales with the kernels
-// (bench/serving_saturation.cpp pins the >= 2x floor against batch-size-1).
+// one worker thread.  When a forward pass ends, that thread takes every
+// classify job that queued meanwhile, in order and up to batch_max_rows
+// rows, and answers them with ONE batched predict_proba call; an idle
+// worker takes the job that wakes it alone.  It never waits for more: jobs
+// that arrive during a forward pass form the next batch, so batches grow
+// with load on their own and a lone request pays no coalescing delay.  A
+// 64-row batch through the AVX2 GEMM costs far less than 64 single-row
+// forwards, so saturated throughput scales with the kernels
+// (bench/serving_saturation.cpp pins a 1.5x floor against batch_max_rows=1).
 //
 // Admission control: the queue is bounded in ROWS (queue_max_rows).
 // submit() refuses jobs that would overflow it — the daemon answers 503 so
@@ -48,10 +51,8 @@ namespace mldist::serve {
 struct ModelEntry;
 
 struct BatchOptions {
-  /// How long the worker waits for more jobs after the first one arrives.
-  /// 0 disables coalescing (every job runs the moment it is dequeued) —
-  /// the batch-size-1 reference configuration of the saturation bench.
-  int batch_window_us = 200;
+  /// Rows one batched forward may carry; 1 is the batch-size-1 reference
+  /// configuration of the saturation bench.
   std::size_t batch_max_rows = 64;
   std::size_t queue_max_rows = 1024;
   /// Requests whose e2e latency reaches this many milliseconds log their

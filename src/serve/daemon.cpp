@@ -124,8 +124,6 @@ bool ServeDaemon::start(const ServeOptions& options, std::string* error) {
   obs::log_info("serve.daemon", "serving")
       .field("port", static_cast<std::uint64_t>(port_))
       .field("models", static_cast<std::uint64_t>(registry_.size()))
-      .field("batch_window_us",
-             static_cast<std::uint64_t>(opt_.batch.batch_window_us))
       .field("batch_max_rows",
              static_cast<std::uint64_t>(opt_.batch.batch_max_rows));
   return true;

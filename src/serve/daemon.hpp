@@ -6,7 +6,7 @@
 // thread multiplexing every connection (built on the shared HTTP machinery
 // of obs/http.hpp: close-on-exec sockets, incremental request reassembly,
 // per-connection read deadlines), handing completed classify requests to
-// the per-model coalescing workers of serve/batcher.hpp.
+// the per-model batch workers of serve/batcher.hpp.
 //
 // Endpoints:
 //   POST /v1/classify   {"model":...,"inputs":["<hex>",...]} -> predictions
@@ -44,7 +44,7 @@ class ModelRegistry;
 
 struct ServeOptions {
   std::uint16_t port = 0;      ///< 0 = ephemeral (port() reports the real one)
-  BatchOptions batch;          ///< coalescing window / batch / queue bounds
+  BatchOptions batch;          ///< batch / queue bounds, slow-request mark
   int read_timeout_ms = 2000;  ///< per-connection deadline for a full request
   std::size_t max_body_bytes = 1024 * 1024;
   int backlog = 128;

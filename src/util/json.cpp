@@ -576,6 +576,12 @@ std::errc parse_u64(std::string_view digits, std::uint64_t& out, int base) {
   return end == last ? std::errc() : std::errc::invalid_argument;
 }
 
+std::errc parse_u64_or_hex(std::string_view text, std::uint64_t& out) {
+  const bool hex = text.size() > 2 && text[0] == '0' &&
+                   (text[1] == 'x' || text[1] == 'X');
+  return parse_u64(hex ? text.substr(2) : text, out, hex ? 16 : 10);
+}
+
 }  // namespace json
 
 bool json_validate(std::string_view text, std::string* error) {

@@ -139,6 +139,9 @@ bool parse(std::string_view text, Value& out, Error* error = nullptr);
 std::errc parse_u64(std::string_view digits, std::uint64_t& out,
                     int base = 10);
 
+/// parse_u64 of decimal `text`, or of the hex digits after a 0x/0X prefix.
+std::errc parse_u64_or_hex(std::string_view text, std::uint64_t& out);
+
 }  // namespace json
 
 }  // namespace mldist::util

@@ -9,8 +9,8 @@
 //   cmake --build build-san -j && ctest --test-dir build-san -L fuzz
 //
 // Seeds: examples/paper_grid.json, the WAL and history of a one-cell serial
-// campaign, an obs trace file, classify request bodies, raw HTTP requests
-// and a saved .nnb.
+// campaign, an obs trace file, classify request bodies, raw HTTP requests,
+// OBS ship records and a saved .nnb.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -22,6 +22,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/journal.hpp"
@@ -33,6 +34,7 @@
 #include "nn/model.hpp"
 #include "nn/serialize.hpp"
 #include "obs/http.hpp"
+#include "obs/ship.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_merge.hpp"
 #include "serve/protocol.hpp"
@@ -307,6 +309,93 @@ TEST_F(Fuzz, HttpRequest) {
   }
   EXPECT_GT(completed, 0);
   EXPECT_GT(failed, 0);
+}
+
+/// encode_metrics_delta output for a counter, a gauge, a bucketed
+/// histogram, and all three as one multi-record line.
+std::vector<std::string> ship_records() {
+  obs::MetricsSnapshot counter, gauge, hist;
+  counter.counters = {{"cells", 5}};
+  gauge.gauges = {{"depth", 9}};
+  obs::HistogramSnapshot h;
+  h.count = 2;
+  h.sum = 303;
+  h.min = 3;
+  h.max = 300;
+  h.buckets[2] = 1;
+  h.buckets[9] = 1;
+  hist.histograms = {{"wait_ns", h}};
+  obs::MetricsSnapshot all = counter;
+  all.gauges = gauge.gauges;
+  all.histograms = hist.histograms;
+  const obs::MetricsSnapshot none;
+  return {obs::encode_metrics_delta(none, counter),
+          obs::encode_metrics_delta(none, gauge),
+          obs::encode_metrics_delta(none, hist),
+          obs::encode_metrics_delta(none, all)};
+}
+
+TEST_F(Fuzz, ShipRecord) {
+  using Kind = obs::MetricDelta::Kind;
+  const std::vector<std::string> seeds = ship_records();
+  {
+    // The seeds decode to exactly what was encoded.
+    const auto entry = [](Kind kind, const char* name, std::uint64_t value) {
+      obs::MetricDelta d;
+      d.kind = kind;
+      d.name = name;
+      d.value = value;
+      return d;
+    };
+    const obs::MetricDelta cells = entry(Kind::kCounter, "cells", 5);
+    const obs::MetricDelta depth = entry(Kind::kGauge, "depth", 9);
+    obs::MetricDelta wait = entry(Kind::kHistogram, "wait_ns", 2);
+    wait.sum = 303;
+    wait.min = 3;
+    wait.max = 300;
+    wait.buckets = {{2, 1}, {9, 1}};
+    const std::vector<std::vector<obs::MetricDelta>> expected = {
+        {cells}, {depth}, {wait}, {cells, depth, wait}};
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      std::vector<obs::MetricDelta> decoded;
+      ASSERT_TRUE(obs::decode_metrics_delta(seeds[i], decoded)) << i;
+      ASSERT_EQ(decoded, expected[i]) << i;
+    }
+  }
+  Mutator mutator(seeds, 0xf022'0008);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string input = mutator.next();
+    std::vector<obs::MetricDelta> whole;
+    const bool ok = obs::decode_metrics_delta(input, whole);
+    ++(ok ? accepted : rejected);
+    for (const obs::MetricDelta& d : whole) {
+      ASSERT_FALSE(d.name.empty()) << input;
+      ASSERT_EQ(d.name.find_first_of("\x1e\x1f"), std::string::npos) << input;
+      if (d.kind != Kind::kHistogram) continue;
+      ASSERT_NE(d.value, 0u) << input;
+      for (const auto& [bucket, n] : d.buckets) {
+        ASSERT_LT(bucket, obs::kHistogramBuckets) << input;
+      }
+    }
+    // One bad record never costs its neighbours: the line decodes to the
+    // concatenation of its 0x1e-separated records decoded alone.
+    std::vector<obs::MetricDelta> pieces;
+    bool pieces_ok = true;
+    std::size_t start = 0;
+    for (std::size_t end = 0; end <= input.size(); ++end) {
+      if (end < input.size() && input[end] != '\x1e') continue;
+      const std::string_view record =
+          std::string_view(input).substr(start, end - start);
+      pieces_ok = obs::decode_metrics_delta(record, pieces) && pieces_ok;
+      start = end + 1;
+    }
+    ASSERT_EQ(ok, pieces_ok) << input;
+    ASSERT_EQ(whole, pieces) << input;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST_F(Fuzz, JournalReplay) {

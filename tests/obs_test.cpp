@@ -501,9 +501,10 @@ TEST(Manifest, ToJsonValidatesAndCarriesProvenance) {
   EXPECT_FALSE(m.git_describe.empty());
   EXPECT_FALSE(m.hostname.empty());
   EXPECT_FALSE(m.build_flags.empty());
+  EXPECT_EQ(m.cores, std::thread::hardware_concurrency());
   for (const char* key :
        {"\"run_id\"", "\"config_hash\"", "\"seed\"", "\"kernel\"", "\"git\"",
-        "\"hostname\"", "\"build\""}) {
+        "\"hostname\"", "\"cores\"", "\"build\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }

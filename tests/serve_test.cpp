@@ -1,10 +1,11 @@
 // Serving daemon (src/serve, ISSUE 9): registry loading + identity hashes,
-// the fixed-shape classify protocol, per-model batch coalescing with
-// admission control, and the HTTP daemon end to end — including the
-// acceptance pin that batched classification responses are byte-identical
-// to batch-size-1 responses.  Runs under the "serve" ctest label; keep it
-// ASan-clean (fd ownership hand-off between the event loop and the batch
-// workers is exactly the kind of code ASan exists for).
+// the fixed-shape classify protocol, per-model batching with admission
+// control (batches held mid-forward by a gate layer, not by timers), and
+// the HTTP daemon end to end — including the acceptance pin that batched
+// classification responses are byte-identical to batch-size-1 responses.
+// Runs under the "serve" ctest label; keep it ASan-clean (fd ownership
+// hand-off between the event loop and the batch workers is exactly the kind
+// of code ASan exists for).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,10 +15,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,8 +28,9 @@
 
 #include "core/arch_zoo.hpp"
 #include "core/model_io.hpp"
+#include "nn/dense.hpp"
+#include "nn/layer.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
@@ -304,68 +308,143 @@ serve::ClassifyJob make_job(const serve::ModelEntry& entry, std::size_t rows,
   return job;
 }
 
-TEST(Batcher, CoalescesConcurrentJobsIntoOneBatch) {
-  TempDir dir("coalesce");
-  save_test_model(dir.path(), "m", "default-mlp", 32, 2, 21);
-  serve::ModelRegistry registry;
-  ASSERT_EQ(registry.load_dir(dir.path()), 1u);
+/// Test-only identity layer whose forward blocks until the test opens it.
+/// The IR runs it as an opaque node inside the worker's batched
+/// predict_proba, so a test can hold a batch mid-forward for as long as it
+/// likes and queue jobs behind it, with no timer deciding anything.  Every
+/// wait has a deadline, so a bug fails the test instead of hanging it.
+class GateLayer : public nn::Layer {
+ public:
+  static constexpr auto kDeadline = std::chrono::seconds(10);
 
-  serve::BatchOptions opt;
-  opt.batch_window_us = 200'000;  // wide window: all jobs land in one batch
-  opt.batch_max_rows = 64;
-  serve::ModelWorker worker(registry.entries()[0], opt);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(worker.submit(make_job(registry.entries()[0], 2, 30 + i)));
+  nn::Mat forward(const nn::Mat& x, bool /*training*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    batch_rows_.push_back(x.rows());
+    cv_.notify_all();
+    cv_.wait_for(lock, kDeadline, [this] { return open_; });
+    return x;
   }
+  nn::Mat backward(const nn::Mat& grad_out) override { return grad_out; }
+  std::string name() const override { return "gate"; }
+  std::size_t output_size(std::size_t input_size) const override {
+    return input_size;
+  }
+
+  /// Wait until `n` forwards have entered; false at the deadline.
+  bool wait_entered(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kDeadline,
+                        [&] { return batch_rows_.size() >= n; });
+  }
+  /// Let every held and future forward through.
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Rows of each forward that entered, in order.
+  std::vector<std::size_t> batch_rows() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batch_rows_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::vector<std::size_t> batch_rows_;
+};
+
+/// A servable entry built in memory, no registry or file: the gate, then
+/// Dense(16->2).
+struct GatedModel {
+  GatedModel() {
+    util::Xoshiro256 rng(0x9a7e);
+    auto layer = std::make_unique<GateLayer>();
+    gate = layer.get();
+    entry.name = "gated";
+    entry.arch = "gate+dense";
+    entry.input_bits = 16;
+    entry.classes = 2;
+    entry.model = std::make_unique<nn::Sequential>();
+    entry.model->add(std::move(layer));
+    entry.model->add(std::make_unique<nn::Dense>(16, 2, rng));
+  }
+
+  serve::ModelEntry entry;
+  GateLayer* gate = nullptr;  ///< owned by entry.model
+};
+
+TEST(Batcher, CoalescesConcurrentJobsIntoOneBatch) {
+  GatedModel m;
+  serve::ModelWorker worker(m.entry, serve::BatchOptions{});
+  ASSERT_TRUE(worker.submit(make_job(m.entry, 2, 30)));  // A
+  ASSERT_TRUE(m.gate->wait_entered(1));                  // A is mid-forward
+  for (int i = 1; i < 4; ++i) {                          // B, C, D queue
+    ASSERT_TRUE(worker.submit(make_job(m.entry, 2, 30 + i)));
+  }
+  m.gate->open();
   worker.stop();  // drains: every submitted job is answered
   EXPECT_EQ(worker.answered(), 4u);
-  EXPECT_EQ(worker.batches(), 1u);
+  EXPECT_EQ(worker.batches(), 2u);
+  EXPECT_EQ(m.gate->batch_rows(), (std::vector<std::size_t>{2, 6}));
 }
 
-TEST(Batcher, FullBatchFlushesBeforeTheWindowCloses) {
-  TempDir dir("flush");
-  save_test_model(dir.path(), "m", "default-mlp", 32, 2, 22);
-  serve::ModelRegistry registry;
-  ASSERT_EQ(registry.load_dir(dir.path()), 1u);
-
-  serve::BatchOptions opt;
-  opt.batch_window_us = 60'000'000;  // a window far longer than the test
-  opt.batch_max_rows = 4;
-  serve::ModelWorker worker(registry.entries()[0], opt);
-  const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(worker.submit(make_job(registry.entries()[0], 2, 41)));
-  ASSERT_TRUE(worker.submit(make_job(registry.entries()[0], 2, 42)));
-  // batch_max_rows reached -> the batch must run without waiting out the
-  // minute-long window.
-  while (worker.answered() < 2u &&
-         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(worker.answered(), 2u);
+TEST(Batcher, IdleWorkerRunsTheJobThatWokeItAlone) {
+  GatedModel m;
+  serve::ModelWorker worker(m.entry, serve::BatchOptions{});
+  // A and B arrive back to back at an idle worker.  Whether its thread is
+  // still starting, parked, or already woken by A, A runs alone: B's
+  // batch must not depend on how fast the thread wakes.
+  ASSERT_TRUE(worker.submit(make_job(m.entry, 1, 35)));  // A
+  ASSERT_TRUE(worker.submit(make_job(m.entry, 2, 36)));  // B
+  ASSERT_TRUE(m.gate->wait_entered(1));
+  EXPECT_EQ(m.gate->batch_rows(), (std::vector<std::size_t>{1}));
+  m.gate->open();
   worker.stop();
+  EXPECT_EQ(worker.answered(), 2u);
+  EXPECT_EQ(m.gate->batch_rows(), (std::vector<std::size_t>{1, 2}));
+}
+
+TEST(Batcher, QueuedJobsSplitAtBatchMaxRows) {
+  GatedModel m;
+  serve::BatchOptions opt;
+  opt.batch_max_rows = 4;
+  serve::ModelWorker worker(m.entry, opt);
+  ASSERT_TRUE(worker.submit(make_job(m.entry, 2, 41)));  // A
+  ASSERT_TRUE(m.gate->wait_entered(1));
+  for (int i = 1; i < 4; ++i) {  // B, C, D: 2 rows each
+    ASSERT_TRUE(worker.submit(make_job(m.entry, 2, 41 + i)));
+  }
+  m.gate->open();
+  worker.stop();
+  // B+C fill the 4-row cap; D, which would overflow it, runs next on its
+  // own instead of being split.
+  EXPECT_EQ(worker.answered(), 4u);
+  EXPECT_EQ(m.gate->batch_rows(), (std::vector<std::size_t>{2, 4, 2}));
 }
 
 TEST(Batcher, AdmissionControlBoundsQueueAndRequestSize) {
-  TempDir dir("admission");
-  save_test_model(dir.path(), "m", "default-mlp", 32, 2, 23);
-  serve::ModelRegistry registry;
-  ASSERT_EQ(registry.load_dir(dir.path()), 1u);
-  const serve::ModelEntry& entry = registry.entries()[0];
-
+  GatedModel m;
   serve::BatchOptions opt;
-  opt.batch_window_us = 2'000'000;  // hold the first batch open
-  opt.batch_max_rows = 1024;        // never flush on fullness in this test
+  opt.batch_max_rows = 1024;
   opt.queue_max_rows = 4;
-  serve::ModelWorker worker(entry, opt);
+  serve::ModelWorker worker(m.entry, opt);
 
-  EXPECT_FALSE(worker.submit(make_job(entry, 0, 50)));     // empty
-  EXPECT_FALSE(worker.submit(make_job(entry, 2048, 51)));  // > batch_max_rows
-  ASSERT_TRUE(worker.submit(make_job(entry, 2, 52)));
-  ASSERT_TRUE(worker.submit(make_job(entry, 2, 53)));      // queue now full
-  EXPECT_FALSE(worker.submit(make_job(entry, 1, 54)));     // overflow -> 503
+  EXPECT_FALSE(worker.submit(make_job(m.entry, 0, 50)));     // empty
+  EXPECT_FALSE(worker.submit(make_job(m.entry, 2048, 51)));  // > batch_max_rows
+  ASSERT_TRUE(worker.submit(make_job(m.entry, 1, 52)));      // A
+  ASSERT_TRUE(m.gate->wait_entered(1));  // A held; the queue is empty again
+  ASSERT_TRUE(worker.submit(make_job(m.entry, 2, 53)));
+  ASSERT_TRUE(worker.submit(make_job(m.entry, 2, 54)));      // queue now full
+  EXPECT_FALSE(worker.submit(make_job(m.entry, 1, 55)));     // overflow -> 503
+  m.gate->open();
   worker.stop();
-  EXPECT_EQ(worker.answered(), 2u);
-  EXPECT_FALSE(worker.submit(make_job(entry, 1, 55)));     // stopped
+  // Overload refuses new work; it never drops admitted work.
+  EXPECT_EQ(worker.answered(), 3u);
+  EXPECT_FALSE(worker.submit(make_job(m.entry, 1, 56)));     // stopped
 }
 
 // ---------------------------------------------------------------------------
@@ -487,71 +566,21 @@ TEST_F(DaemonTest, BatchedResponsesAreByteIdenticalToUnbatched) {
   }
 }
 
-TEST_F(DaemonTest, ConcurrentRequestsAreCoalescedIntoFewerBatches) {
-  serve::ServeOptions opt;
-  opt.batch.batch_window_us = 50'000;
-  StartDaemon(opt);
-  const std::uint16_t port = daemon_->port();
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  const std::uint64_t batches_before =
-      reg.counter_value("serve.model.mlp.batches");
-  const std::uint64_t requests_before =
-      reg.counter_value("serve.model.mlp.requests");
-
-  constexpr int kClients = 8;
-  std::vector<std::thread> clients;
-  std::atomic<int> ok{0};
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      const HttpResult res = http_post(
-          port, "/v1/classify", classify_body("mlp", {hex_input(200 + i, 4)}));
-      if (res.status == 200) ok.fetch_add(1);
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(ok.load(), kClients);
-
-  const std::uint64_t batches =
-      reg.counter_value("serve.model.mlp.batches") - batches_before;
-  const std::uint64_t requests =
-      reg.counter_value("serve.model.mlp.requests") - requests_before;
-  EXPECT_EQ(requests, static_cast<std::uint64_t>(kClients));
-  // With a 50ms window and 8 concurrent clients at least some coalescing
-  // must happen; equality would mean every request ran its own GEMM.
-  EXPECT_LT(batches, requests);
-}
-
 TEST_F(DaemonTest, OverloadedQueueAnswers503) {
   serve::ServeOptions opt;
-  opt.batch.batch_window_us = 500'000;  // hold the first batch half a second
-  opt.batch.batch_max_rows = 1024;      // don't flush on fullness
+  opt.batch.batch_max_rows = 1024;
   opt.batch.queue_max_rows = 2;
   StartDaemon(opt);
   const std::uint16_t port = daemon_->port();
 
-  // First request fills the whole queue and parks in the open window...
-  const int first = connect_loopback(port);
-  ASSERT_GE(first, 0);
-  const std::string body = classify_body("mlp", {hex_input(300, 4),
-                                                 hex_input(301, 4)});
-  const std::string req =
-      "POST /v1/classify HTTP/1.1\r\nHost: h\r\nContent-Length: " +
-      std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" + body;
-  ASSERT_EQ(::send(first, req.data(), req.size(), 0),
-            static_cast<ssize_t>(req.size()));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  // ...so the second is refused by admission control, immediately.
-  const HttpResult overflow =
-      http_post(port, "/v1/classify", classify_body("mlp", {hex_input(302, 4)}));
+  // Three rows can never fit a two-row queue, so admission control refuses
+  // the request however quickly the worker drains.
+  const HttpResult overflow = http_post(
+      port, "/v1/classify",
+      classify_body("mlp",
+                    {hex_input(300, 4), hex_input(301, 4), hex_input(302, 4)}));
   EXPECT_EQ(overflow.status, 503);
   EXPECT_GE(daemon_->rejected(), 1u);
-
-  // The parked request is still answered once its window closes: overload
-  // rejects new work, it never drops admitted work.
-  const HttpResult parked = read_response(first);
-  EXPECT_EQ(parked.status, 200);
 
   // A single request wider than batch_max_rows is a client error, not 503.
   serve::ServeOptions small;
@@ -716,17 +745,21 @@ TEST_F(DaemonTest, ErrorResponsesCarryTheRequestIdAndLogTheStatus) {
   EXPECT_EQ(hits, 1u);
 }
 
-TEST_F(DaemonTest, SlowRequestsForceWarnLevelAccessLines) {
-  serve::ServeOptions opt;
-  opt.batch.slow_request_ms = 1;      // every request is "slow" next to...
-  opt.batch.batch_window_us = 5'000;  // ...a 5 ms coalescing window
-  StartDaemon(opt);
+TEST(Batcher, SlowRequestsForceWarnLevelAccessLines) {
+  GatedModel m;
+  serve::BatchOptions opt;
+  opt.slow_request_ms = 1;
+  serve::ModelWorker worker(m.entry, opt);
   ScopedAccessLog log("slow");
-  const std::string raw =
-      http_request_raw(daemon_->port(), "/v1/classify",
-                       classify_body("mlp", {hex_input(506, 4)}),
-                       "X-Request-Id: slow-1\r\n");
-  EXPECT_EQ(raw.rfind("HTTP/1.1 200", 0), 0u) << raw;
+  serve::ClassifyJob job = make_job(m.entry, 1, 506);
+  job.request_id = "slow-1";
+  ASSERT_TRUE(worker.submit(std::move(job)));
+  ASSERT_TRUE(m.gate->wait_entered(1));
+  // Held in the gate, the job cannot finish before this sleep ends: a lower
+  // bound on its latency, five times the slow mark.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  m.gate->open();
+  worker.stop();
   std::size_t hits = 0;
   for (const std::string& line : log.lines()) {
     if (line.find("\"request_id\":\"slow-1\"") == std::string::npos) continue;
@@ -739,9 +772,7 @@ TEST_F(DaemonTest, SlowRequestsForceWarnLevelAccessLines) {
 }
 
 TEST_F(DaemonTest, AccessLogBurstStaysWellFormedOnePerRequest) {
-  serve::ServeOptions opt;
-  opt.batch.batch_window_us = 10'000;  // coalesce the burst across clients
-  StartDaemon(opt);
+  StartDaemon(serve::ServeOptions{});
   ScopedAccessLog log("burst");
   constexpr int kClients = 4;
   std::vector<std::thread> clients;

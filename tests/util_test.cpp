@@ -12,6 +12,7 @@
 #include <atomic>
 
 #include "util/bits.hpp"
+#include "util/flags.hpp"
 #include "util/hex.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -216,6 +217,35 @@ TEST(Hex, EmptyInput) {
 // ---------------------------------------------------------------------------
 // stats
 // ---------------------------------------------------------------------------
+
+TEST(Flags, AcceptsInRangeDecimalAndOptionalHex) {
+  std::uint64_t seed = 0;
+  EXPECT_TRUE(flag_value("--seed", "0x2A", seed, 0, /*hex=*/true));
+  EXPECT_EQ(seed, 42u);
+  EXPECT_TRUE(flag_value("--seed", "42", seed, 0, /*hex=*/true));
+  EXPECT_EQ(seed, 42u);
+  int epochs = 0;
+  EXPECT_TRUE(flag_value("--epochs", "2147483647", epochs, 1));
+  EXPECT_EQ(epochs, 2147483647);
+  std::size_t workers = 7;
+  EXPECT_TRUE(flag_value("--workers", "0", workers));
+  EXPECT_EQ(workers, 0u);
+}
+
+TEST(Flags, RejectsMalformedAndOutOfRangeLeavingTheValue) {
+  int epochs = 3;
+  for (const char* bad : {"abc", "-5", "", "12x", " 1", "+1", "007", "0",
+                          "2147483648", "0x10"}) {
+    EXPECT_FALSE(flag_value("--epochs", bad, epochs, 1)) << bad;
+  }
+  EXPECT_EQ(epochs, 3);
+  std::uint64_t seed = 9;
+  for (const char* bad : {"0x", "0xzz", "18446744073709551616", "1e3"}) {
+    EXPECT_FALSE(flag_value("--seed", bad, seed, 0, /*hex=*/true))
+        << bad;
+  }
+  EXPECT_EQ(seed, 9u);
+}
 
 TEST(Stats, MeanAndStddev) {
   EXPECT_DOUBLE_EQ(mean({}), 0.0);

@@ -4,7 +4,8 @@
 //   --quick     seconds-scale budgets (default) — shape-preserving
 //   --full      larger budgets, closer to the paper's 2^17.6-sample scale
 //   --seed N    override the experiment seed
-//   --threads W pipeline worker count (0 = global pool sized to the machine)
+//   --threads W pipeline worker cap on the process pool (0 = the whole
+//               pool, sized to the machine; 1 = serial)
 //   --kernel K  force the compute-kernel implementation
 //               (reference | blocked | avx2); default = best supported
 //   --trace F   record a Chrome trace_event JSON of the run into F

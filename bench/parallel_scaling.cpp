@@ -1,12 +1,14 @@
 // Parallel pipeline scaling: wall-clock throughput of the chunked
 // collect_dataset engine and of batched Sequential::evaluate at worker
 // counts {1, 2, 4, hardware}, against the serial seed path as baseline.
+// A worker count caps the process pool (util::ThreadPool::global()), so
+// counts above the hardware concurrency run at the pool's size.
 //
 // Determinism contract, checked here and recorded in the JSON artifact:
 //   * the engine's dataset is a pure function of (seed, chunk size) — every
 //     thread count must produce bitwise-identical rows and labels;
 //   * evaluate() reduces per-batch partials in batch order — loss and
-//     accuracy must be bitwise identical for every pool size.
+//     accuracy must be bitwise identical for every worker count.
 // The artifact results/BENCH_parallel_scaling.json records, per thread
 // count, the wall time, rows/sec and speedup over the serial baseline,
 // plus the hardware concurrency of the host the numbers were taken on
@@ -25,7 +27,6 @@
 #include "core/arch_zoo.hpp"
 #include "core/dataset.hpp"
 #include "core/targets.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -117,11 +118,10 @@ int main(int argc, char** argv) {
   nn::EvalResult eval_reference;
   bool have_eval_reference = false;
   for (const std::size_t threads : counts) {
-    util::ThreadPool pool(threads);
     EvalPoint e;
     e.threads = threads;
     const util::Timer timer;
-    e.result = model->evaluate(reference, 512, &pool);
+    e.result = model->evaluate(reference, 512, threads);
     e.seconds = timer.seconds();
     if (!have_eval_reference) {
       eval_reference = e.result;

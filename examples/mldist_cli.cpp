@@ -469,7 +469,7 @@ int cmd_test(const Args& args) {
   const nn::Dataset online = core::collect_dataset(
       oracle, config.online_base_inputs, copt, &collect_tel);
   const util::Timer predict_timer;
-  const auto pred = dist.model().predict(online.x);
+  const auto pred = dist.model().predict(online.x, 512, config.threads);
   core::PhaseTelemetry predict_tel;
   predict_tel.seconds = predict_timer.seconds();
   predict_tel.rows = pred.size();

@@ -10,7 +10,7 @@
 //
 // RetryPolicy is the companion knob set consumed by MLDistinguisher::train:
 // on nn::TrainingDiverged it restores the checkpoint, multiplies the
-// learning rate by `lr_backoff`, optionally reseeds the shuffle stream, and
+// learning rate by `lr_backoff`, draws a fresh shuffle stream, and
 // tries again up to `max_attempts` times before degrading to the linear
 // baseline classifier.
 #pragma once
@@ -24,7 +24,6 @@ namespace mldist::core {
 struct RetryPolicy {
   int max_attempts = 3;   ///< fit attempts before degrading to the baseline
   float lr_backoff = 0.5f;  ///< learning-rate factor applied per retry
-  bool reseed = true;     ///< derive a fresh shuffle stream per retry
   /// Checkpoint file; empty = an auto-generated path under the system temp
   /// directory, removed after training.
   std::string checkpoint_path;

@@ -115,8 +115,8 @@ nn::Dataset collect_dataset(const Oracle& oracle, std::size_t base_inputs,
     }
   };
 
-  const std::size_t threads =
-      util::parallel_for_threads(options.threads, num_chunks, chunks);
+  const std::size_t threads = util::ThreadPool::global().parallel_for(
+      num_chunks, chunks, options.threads);
 
   if (telemetry != nullptr) {
     telemetry->seconds = timer.seconds();

@@ -9,11 +9,11 @@
 //    stream), and
 //  - the parallel engine, which partitions the base inputs into a fixed
 //    chunk grid, derives one independent RNG stream per chunk from a master
-//    seed (util::derive_stream_seed), and fans the chunks out over a thread
-//    pool.  Each chunk writes a disjoint row range of the pre-sized matrix,
-//    so the data set is a pure function of (seed, chunk grid) — bitwise
-//    identical for 1, 2 or N workers (the contract mat.cpp documents for
-//    the matmul kernels).
+//    seed (util::derive_stream_seed), and fans the chunks out over the
+//    process thread pool (util::ThreadPool::global()).  Each chunk writes a
+//    disjoint row range of the pre-sized matrix, so the data set is a pure
+//    function of (seed, chunk grid) — bitwise identical for 1, 2 or N
+//    workers (the contract kernels::gemm documents for its row split).
 #pragma once
 
 #include "core/oracle.hpp"
@@ -26,9 +26,9 @@ namespace mldist::core {
 /// Configuration of the parallel collection engine.
 struct CollectOptions {
   std::uint64_t seed = 0x600d5eedULL;  ///< master seed of the chunk streams
-  /// Worker count: 0 = the process-wide pool (hardware sized), 1 = inline
-  /// serial execution, otherwise a dedicated pool of that many threads.
-  /// Never affects the collected bytes, only the wall time.
+  /// Worker cap on the process pool: 0 = the whole pool (hardware sized),
+  /// 1 = inline serial execution, N = at most N chunks at a time.  Never
+  /// affects the collected bytes, only the wall time.
   std::size_t threads = 0;
   /// Base inputs per chunk.  Part of the determinism contract: changing it
   /// changes the derived streams and therefore the data.

@@ -30,19 +30,6 @@ constexpr std::uint64_t kOfflineValStream = 0x0ff1a1ULL;
 constexpr std::uint64_t kShuffleStream = 0x5aff1eULL;
 constexpr std::uint64_t kBaselineStream = 0xba5e11eULL;
 
-/// Invoke fn(pool*) with the pool implied by `threads` (0 = process-wide
-/// pool; otherwise a dedicated pool).  Inside an enclosing parallel region
-/// the global pool is passed instead — nested parallel_for inlines anyway,
-/// so spawning a fresh pool would only waste threads.
-template <typename Fn>
-auto with_pool(std::size_t threads, Fn&& fn) {
-  if (threads == 0 || util::ThreadPool::in_parallel_region()) {
-    return fn(static_cast<util::ThreadPool*>(nullptr));
-  }
-  util::ThreadPool pool(threads);  // a 1-thread pool runs everything inline
-  return fn(&pool);
-}
-
 /// A collision-free checkpoint path under the temp directory for callers
 /// that did not configure one (pid + process-local counter: concurrent
 /// trainings, in this process or in parallel ctest jobs, never clash).
@@ -85,7 +72,6 @@ CollectOptions DistinguisherOptions::collect_options(
   CollectOptions c;
   c.seed = stream_seed;
   c.threads = threads;
-  c.chunk_base_inputs = collect_chunk;
   return c;
 }
 
@@ -155,7 +141,7 @@ TrainReport MLDistinguisher::train(const Target& target,
 
   // Fault-tolerant fit: every attempt checkpoints its best-validation
   // epoch; a divergence rolls back to that checkpoint and retries with a
-  // backed-off learning rate and (optionally) a fresh shuffle stream.
+  // backed-off learning rate and a fresh shuffle stream.
   const bool auto_ckpt = options_.retry.checkpoint_path.empty();
   CheckpointManager ckpt(auto_ckpt ? auto_checkpoint_path(options_.seed)
                                    : options_.retry.checkpoint_path);
@@ -175,9 +161,7 @@ TrainReport MLDistinguisher::train(const Target& target,
     // Attempt 1 uses the pre-robustness shuffle stream, so clean runs stay
     // bitwise identical to earlier versions; retries draw fresh streams.
     const std::uint64_t shuffle_stream =
-        (options_.retry.reseed && attempt > 1)
-            ? kShuffleStream + static_cast<std::uint64_t>(attempt - 1)
-            : kShuffleStream;
+        kShuffleStream + static_cast<std::uint64_t>(attempt - 1);
     nn::FitOptions fit = options_.fit_options(
         util::derive_stream_seed(options_.seed, shuffle_stream), &val_set);
     if (options_.health_checks) fit.health = &monitor;
@@ -286,9 +270,7 @@ OnlineReport MLDistinguisher::test(const Oracle& oracle,
   const std::vector<int> pred =
       baseline_ != nullptr
           ? baseline_->predict(online.x)
-          : with_pool(options_.threads, [&](util::ThreadPool* pool) {
-              return model_->predict(online.x, /*batch_size=*/512, pool);
-            });
+          : model_->predict(online.x, /*batch_size=*/512, options_.threads);
   rep.predict.seconds = predict_timer.seconds();
   rep.predict.rows = pred.size();
   rep.predict.threads = rep.collect.threads;

@@ -63,8 +63,7 @@ struct DistinguisherOptions {
   double validation_fraction = 0.1;  ///< held out from the offline data
   double z_threshold = 3.0;          ///< significance for all decisions
   std::uint64_t seed = 0x600d5eedULL;
-  std::size_t threads = 0;           ///< engine workers: 0 = hardware, 1 = serial
-  std::size_t collect_chunk = 64;    ///< base inputs per derived RNG stream
+  std::size_t threads = 0;           ///< pool worker cap: 0 = all, 1 = serial
   std::function<void(const nn::EpochStats&)> on_epoch;
 
   // --- robustness (ISSUE 2) ----------------------------------------------

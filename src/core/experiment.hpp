@@ -47,7 +47,7 @@ struct ExperimentConfig {
   // --- experiment protocol ------------------------------------------------
   double z_threshold = 3.0;
   std::uint64_t seed = 0x600d5eedULL;
-  std::size_t threads = 0;            ///< 0 = hardware, 1 = serial
+  std::size_t threads = 0;            ///< pool worker cap: 0 = all, 1 = serial
   std::size_t offline_base_inputs = 4000;
   std::size_t online_base_inputs = 2000;
   std::size_t games = 12;             ///< oracle games for play_games

@@ -101,8 +101,8 @@ KeyRecoveryResult speck_last_round_key_recovery(
       scores[c] = score_candidate(model, candidates[c], base_ct, diff_ct);
     }
   };
-  const std::size_t workers =
-      util::parallel_for_threads(options.threads, candidates.size(), score_range);
+  const std::size_t workers = util::ThreadPool::global().parallel_for(
+      candidates.size(), score_range, options.threads);
   res.telemetry.seconds = score_timer.seconds();
   res.telemetry.rows = candidates.size() * options.base_inputs * t;
   res.telemetry.threads = workers;

@@ -34,9 +34,9 @@ struct KeyRecoveryOptions {
   /// Candidate subkeys to score.  Empty = all 2^16 (slow but complete).
   std::vector<std::uint16_t> candidates;
   std::uint64_t seed = 0x6e45ULL;
-  /// Candidate-scoring fan-out (0 = hardware, 1 = serial).  Candidates are
-  /// scored independently and reduced in order, so the result never depends
-  /// on this.
+  /// Candidate-scoring fan-out cap on the process pool (0 = the whole pool,
+  /// 1 = serial).  Candidates are scored independently and reduced in
+  /// order, so the result never depends on this.
   std::size_t threads = 0;
 };
 

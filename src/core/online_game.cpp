@@ -50,7 +50,7 @@ GameReport play_games(const MLDistinguisher& dist, const Target& target,
   };
 
   const std::size_t workers =
-      util::parallel_for_threads(threads, games, play_range);
+      util::ThreadPool::global().parallel_for(games, play_range, threads);
 
   GameReport rep;
   rep.games = games;

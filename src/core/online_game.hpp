@@ -37,8 +37,9 @@ struct GameReport {
 
 /// Play `games` independent rounds with `online_base_inputs` online base
 /// inputs each.  The distinguisher must already be trained on `target`.
-/// `threads` controls the game-level fan-out (0 = hardware, 1 = serial);
-/// it never changes the report, only the wall time.
+/// `threads` caps the game-level fan-out on the process pool (0 = the
+/// whole pool, 1 = serial); it never changes the report, only the wall
+/// time.
 GameReport play_games(const MLDistinguisher& dist, const Target& target,
                       std::size_t games, std::size_t online_base_inputs,
                       std::uint64_t seed, std::size_t threads = 0);

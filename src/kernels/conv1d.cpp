@@ -2,9 +2,11 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mldist::kernels {
 
@@ -50,23 +52,23 @@ void fill_patches(const float* x, const Conv1DShape& s, float* patches) {
   }
 }
 
-void conv_im2col(const float* x, float* y, const Conv1DShape& s,
+void conv_im2col(Impl impl, const float* x, float* y, const Conv1DShape& s,
                  const float* w, const GemmEpilogue& ep, float* scratch) {
   const std::size_t kw = s.kernel * s.cin;
   fill_patches(x, s, scratch);
-  gemm(scratch, static_cast<std::ptrdiff_t>(kw), 1, w,
-       static_cast<std::ptrdiff_t>(s.cout), 1, y, s.batch * s.length, kw,
-       s.cout, ep);
+  gemm_impl(impl, scratch, static_cast<std::ptrdiff_t>(kw), 1, w,
+            static_cast<std::ptrdiff_t>(s.cout), 1, y, s.batch * s.length, kw,
+            s.cout, ep);
 }
 
-void conv_direct(const float* x, float* y, const Conv1DShape& s,
+void conv_direct(Impl impl, const float* x, float* y, const Conv1DShape& s,
                  const float* w, const GemmEpilogue& ep, float* scratch) {
   const std::size_t kw = s.kernel * s.cin;
   const std::ptrdiff_t b_rs = static_cast<std::ptrdiff_t>(s.cout);
   if (s.kernel == 1) {
     // No padding anywhere: the whole batch is one strided view of x.
-    gemm(x, static_cast<std::ptrdiff_t>(s.cin), 1, w, b_rs, 1, y,
-         s.batch * s.length, s.cin, s.cout, ep);
+    gemm_impl(impl, x, static_cast<std::ptrdiff_t>(s.cin), 1, w, b_rs, 1, y,
+              s.batch * s.length, s.cin, s.cout, ep);
     return;
   }
   // The whole call issues exactly TWO gemms regardless of batch size.  A
@@ -88,8 +90,8 @@ void conv_direct(const float* x, float* y, const Conv1DShape& s,
   const std::size_t windows = s.batch * s.length - s.kernel + 1;
   float* patches = scratch;                        // border_rows x kw
   float* border_out = patches + border_rows * kw;  // border_rows x cout
-  gemm(x, static_cast<std::ptrdiff_t>(s.cin), 1, w, b_rs, 1,
-       y + half * s.cout, windows, kw, s.cout, ep);
+  gemm_impl(impl, x, static_cast<std::ptrdiff_t>(s.cin), 1, w, b_rs, 1,
+            y + half * s.cout, windows, kw, s.cout, ep);
 
   // Border patch rows for every sample: rows [n*2*half, n*2*half + half)
   // hold sample n's top positions, the next half rows its bottom ones.
@@ -115,8 +117,8 @@ void conv_direct(const float* x, float* y, const Conv1DShape& s,
       }
     }
   }
-  gemm(patches, static_cast<std::ptrdiff_t>(kw), 1, w, b_rs, 1, border_out,
-       border_rows, kw, s.cout, ep);
+  gemm_impl(impl, patches, static_cast<std::ptrdiff_t>(kw), 1, w, b_rs, 1,
+            border_out, border_rows, kw, s.cout, ep);
 
   // Overwrite the junk the interior view left at the border positions.
   for (std::size_t n = 0; n < s.batch; ++n) {
@@ -128,16 +130,11 @@ void conv_direct(const float* x, float* y, const Conv1DShape& s,
   }
 }
 
-}  // namespace
-
-const char* conv1d_algo_name(Conv1DAlgo algo) {
-  return algo == Conv1DAlgo::kDirect ? "direct" : "im2col";
-}
-
-std::size_t conv1d_scratch_floats(const Conv1DShape& s, Conv1DAlgo algo) {
-  check_shape(s);
+/// Scratch floats one conv of shape `s` needs under `algo` (after the
+/// length < kernel fallback to im2col).  May be zero (kDirect, kernel 1).
+std::size_t scratch_floats(const Conv1DShape& s, Conv1DAlgo algo) {
   const std::size_t kw = s.kernel * s.cin;
-  if (algo == Conv1DAlgo::kDirect && s.length >= s.kernel) {
+  if (algo == Conv1DAlgo::kDirect) {
     if (s.kernel == 1) return 0;
     const std::size_t border_rows = s.batch * 2 * (s.kernel / 2);
     return border_rows * (kw + s.cout);
@@ -145,15 +142,10 @@ std::size_t conv1d_scratch_floats(const Conv1DShape& s, Conv1DAlgo algo) {
   return s.batch * s.length * kw;
 }
 
-void conv1d_forward(const float* x, float* y, const Conv1DShape& s,
-                    const float* w, const GemmEpilogue& epilogue,
-                    Conv1DAlgo algo, float* scratch) {
-  check_shape(s);
-  if (s.batch == 0) return;
-  // No interior positions to carve out — the direct split degenerates.
-  if (algo == Conv1DAlgo::kDirect && s.length < s.kernel) {
-    algo = Conv1DAlgo::kIm2col;
-  }
+/// One unsplit conv over `s.batch` samples: one call's worth of counters
+/// and span, GEMMs on `impl` with no further split.
+void conv_rows(Impl impl, const float* x, float* y, const Conv1DShape& s,
+               const float* w, const GemmEpilogue& epilogue, Conv1DAlgo algo) {
   {
     static const ConvMetrics metrics;
     obs::MetricsRegistry::global().add(
@@ -166,10 +158,48 @@ void conv1d_forward(const float* x, float* y, const Conv1DShape& s,
       .arg("cin", static_cast<std::uint64_t>(s.cin))
       .arg("cout", static_cast<std::uint64_t>(s.cout))
       .arg("kernel", static_cast<std::uint64_t>(s.kernel));
+  // Per-thread grow-only arena: the chunks of one batch, and every conv a
+  // thread runs after them, reuse it with no allocation in steady state.
+  thread_local std::vector<float> scratch;
+  const std::size_t need = scratch_floats(s, algo);
+  if (scratch.size() < need) scratch.resize(need);
   if (algo == Conv1DAlgo::kDirect) {
-    conv_direct(x, y, s, w, epilogue, scratch);
+    conv_direct(impl, x, y, s, w, epilogue, scratch.data());
   } else {
-    conv_im2col(x, y, s, w, epilogue, scratch);
+    conv_im2col(impl, x, y, s, w, epilogue, scratch.data());
+  }
+}
+
+}  // namespace
+
+const char* conv1d_algo_name(Conv1DAlgo algo) {
+  return algo == Conv1DAlgo::kDirect ? "direct" : "im2col";
+}
+
+void conv1d_forward(const float* x, float* y, const Conv1DShape& s,
+                    const float* w, const GemmEpilogue& epilogue,
+                    Conv1DAlgo algo) {
+  check_shape(s);
+  if (s.batch == 0) return;
+  // No interior positions to carve out — the direct split degenerates.
+  if (algo == Conv1DAlgo::kDirect && s.length < s.kernel) {
+    algo = Conv1DAlgo::kIm2col;
+  }
+  const Impl impl = dispatch();
+  const std::size_t in_w = s.length * s.cin;
+  const std::size_t out_w = s.length * s.cout;
+  const auto rows = [&](std::size_t r0, std::size_t r1) {
+    Conv1DShape part = s;
+    part.batch = r1 - r0;
+    conv_rows(impl, x + r0 * in_w, y + r0 * out_w, part, w, epilogue, algo);
+  };
+  // A batch split keeps every output element's fma chain intact, so the
+  // worker count never changes bits.
+  if (s.batch > 1 &&
+      s.batch * s.length * s.kernel * s.cin * s.cout >= kParallelThreshold) {
+    util::ThreadPool::global().parallel_for(s.batch, rows);
+  } else {
+    rows(0, s.batch);
   }
 }
 

@@ -50,20 +50,21 @@ enum class Conv1DAlgo {
 
 const char* conv1d_algo_name(Conv1DAlgo algo);
 
-/// Scratch floats conv1d_forward needs for (shape, algo).  May be zero
-/// (kDirect with kernel == 1).  When length < kernel there are no interior
-/// positions, so kDirect falls back to the im2col path and sizes
-/// accordingly.
-std::size_t conv1d_scratch_floats(const Conv1DShape& s, Conv1DAlgo algo);
-
 /// y = epilogue(conv1d(x, w)).  `epilogue` arrays are indexed by output
 /// channel o (the GEMM column), so bias and per-channel stages fuse here;
 /// per-(position, channel) stages (nn::BatchNorm over length*cout features)
-/// must instead run as a norm_act_inplace pass over y.  `scratch` must hold
-/// at least conv1d_scratch_floats(s, algo) floats (pass nullptr when that
-/// is zero).
+/// must instead run as a norm_act_inplace pass over y.  When length <
+/// kernel there are no interior positions and kDirect runs as kIm2col.
+///
+/// Threading: from kParallelThreshold MACs (and batch > 1) the batch is
+/// split across util::ThreadPool::global(); each chunk is one unsplit conv
+/// (its own conv1d span and kernels.conv1d.calls count) whose GEMMs run on
+/// the calling worker.  A batch split keeps every output element's fma
+/// chain intact, so the worker count never changes bits.  Patch scratch
+/// lives in per-thread grow-only buffers, so steady-state calls allocate
+/// nothing.
 void conv1d_forward(const float* x, float* y, const Conv1DShape& s,
                     const float* w, const GemmEpilogue& epilogue,
-                    Conv1DAlgo algo, float* scratch);
+                    Conv1DAlgo algo);
 
 }  // namespace mldist::kernels

@@ -9,6 +9,7 @@
 #include "kernels/gemm_internal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mldist::kernels {
 
@@ -253,7 +254,17 @@ void gemm(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
           const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs, float* c,
           std::size_t m, std::size_t k, std::size_t n,
           const GemmEpilogue& epilogue) {
-  gemm_impl(dispatch(), a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue);
+  if (m == 0) return;
+  const Impl impl = dispatch();
+  const auto rows = [&](std::size_t begin, std::size_t end) {
+    gemm_impl(impl, a + static_cast<std::ptrdiff_t>(begin) * a_rs, a_rs, a_cs,
+              b, b_rs, b_cs, c + begin * n, end - begin, k, n, epilogue);
+  };
+  if (m > 1 && m * k * n >= kParallelThreshold) {
+    util::ThreadPool::global().parallel_for(m, rows);
+  } else {
+    rows(0, m);
+  }
 }
 
 }  // namespace mldist::kernels

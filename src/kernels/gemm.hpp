@@ -49,17 +49,28 @@ struct GemmEpilogue {
   float alpha = 0.3f;
 };
 
+/// Products and convolutions of at least this many multiply-accumulates
+/// (m*k*n; batch*length*kernel*cin*cout) fan out over
+/// util::ThreadPool::global(); below it the fork/join costs more than it
+/// saves.  gemm and conv1d_forward share it.
+inline constexpr std::size_t kParallelThreshold = std::size_t{1} << 19;
+
 /// C (row-major, m x n) = epilogue(A * B) with A addressed as
 /// a[i * a_rs + kk * a_cs] and B as b[kk * b_rs + j * b_cs].
-/// Uses the process-wide dispatch() implementation.
+/// Uses the process-wide dispatch() implementation.  From
+/// kParallelThreshold MACs (and m > 1) C's rows are split across the global
+/// pool, one gemm_impl call per chunk; a row split keeps every output
+/// element's fma chain intact, so the result is bitwise identical to one
+/// unsplit call for any worker count.  Inside a parallel region (or when
+/// the pool is busy) the call runs unsplit.
 void gemm(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
           const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs, float* c,
           std::size_t m, std::size_t k, std::size_t n,
           const GemmEpilogue& epilogue = {});
 
 /// Same, with an explicit implementation (throws std::invalid_argument when
-/// `impl` is unsupported on this machine).  Tests and benches use this to
-/// pin a path without touching the global dispatch.
+/// `impl` is unsupported on this machine), always single-threaded.  Tests
+/// and benches use this to pin a path without touching the global dispatch.
 void gemm_impl(Impl impl, const float* a, std::ptrdiff_t a_rs,
                std::ptrdiff_t a_cs, const float* b, std::ptrdiff_t b_rs,
                std::ptrdiff_t b_cs, float* c, std::size_t m, std::size_t k,

@@ -8,20 +8,16 @@
 #include <stdexcept>
 
 #include "kernels/conv1d.hpp"
+#include "kernels/gemm.hpp"
 #include "kernels/norm_act.hpp"
 #include "nn/layer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace mldist::nn::ir {
 
 namespace {
-
-/// Below this many multiply-accumulates the fork/join overhead dominates
-/// (same threshold as nn::gemm_rows, which the dense op routes through).
-constexpr std::size_t kParallelThreshold = 1u << 19;
 
 /// Epilogue for the node's own kernel call.  For Conv1D + fused BN the
 /// norm/act stages cannot ride the GEMM (BN's feature axis spans
@@ -147,35 +143,16 @@ Mat Executor::run(const Mat& x) {
     switch (n.kind) {
       case OpKind::kDense: {
         const EpiloguePlan ep = plan_epilogue(n, norm_std_[i]);
-        gemm_rows(in, static_cast<std::ptrdiff_t>(n.in_width), 1,
-                  n.weights->data(), static_cast<std::ptrdiff_t>(out_w), 1,
-                  out, rows, n.in_width, out_w, ep.main);
+        kernels::gemm(in, static_cast<std::ptrdiff_t>(n.in_width), 1,
+                      n.weights->data(), static_cast<std::ptrdiff_t>(out_w), 1,
+                      out, rows, n.in_width, out_w, ep.main);
         break;
       }
       case OpKind::kConv1D: {
         const EpiloguePlan ep = plan_epilogue(n, norm_std_[i]);
-        const std::size_t in_w = n.length * n.cin;
-        const auto conv_rows = [&](std::size_t r0, std::size_t r1) {
-          if (r0 >= r1) return;
-          kernels::Conv1DShape s{r1 - r0, n.length, n.cin, n.cout, n.kernel};
-          const std::size_t need =
-              kernels::conv1d_scratch_floats(s, n.conv_algo);
-          // Per-worker grow-only arena: row partitions of one batch reuse
-          // it across nodes and runs with no allocation in steady state.
-          thread_local std::vector<float> scratch;
-          if (scratch.size() < need) scratch.resize(need);
-          kernels::conv1d_forward(in + r0 * in_w, out + r0 * out_w, s,
-                                  n.weights->data(), ep.main, n.conv_algo,
-                                  need > 0 ? scratch.data() : nullptr);
-        };
-        // A row partition keeps every output element's fma chain intact,
-        // so worker count never changes bits (same policy as gemm_rows).
-        if (rows * n.length * n.kernel * n.cin * n.cout >= kParallelThreshold &&
-            rows > 1) {
-          util::ThreadPool::global().parallel_for(rows, conv_rows);
-        } else {
-          conv_rows(0, rows);
-        }
+        kernels::conv1d_forward(
+            in, out, {rows, n.length, n.cin, n.cout, n.kernel},
+            n.weights->data(), ep.main, n.conv_algo);
         if (ep.has_post) {
           kernels::norm_act_inplace(out, rows, out_w, ep.post);
         }

@@ -3,9 +3,10 @@
 // An Executor owns one arena of output-buffer slots (assigned by the
 // plan-exec pass; a trivial one-slot-per-node fallback covers unplanned
 // graphs).  Buffers only ever grow, so after the first run at a given
-// batch size the hot path performs no allocations.  Conv1D patch scratch
-// lives in a thread-local arena with the same grow-only policy, because the
-// conv op row-partitions large batches across the global thread pool.
+// batch size the hot path performs no allocations.  The executor forks no
+// threads and owns no thread-local state: large dense and conv nodes fan
+// out inside kernels::gemm and kernels::conv1d_forward, which also keep
+// the conv patch scratch.
 //
 // Executors are NOT thread-safe (the arena is reused across nodes); for
 // concurrent forwards, Sequential keeps a pool of executors and hands one

@@ -3,45 +3,13 @@
 #include <cassert>
 
 #include "kernels/gemm.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mldist::nn {
 
-namespace {
-
-/// Below this many multiply-accumulates the fork/join overhead dominates.
-constexpr std::size_t kParallelThreshold = 1u << 19;
-
-void gemm_rows(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
-               const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
-               Mat& out, std::size_t m, std::size_t k, std::size_t n,
-               const kernels::GemmEpilogue& epilogue) {
-  mldist::nn::gemm_rows(a, a_rs, a_cs, b, b_rs, b_cs, out.data(), m, k, n,
-                        epilogue);
-}
-
-}  // namespace
-
-// All products funnel through this: C rows [begin, end) are computed by
-// kernels::gemm on the active dispatch implementation.  Parallelism stays a
-// row partition of C, so each output element sees the same k-ascending fma
-// chain regardless of worker count or kernel choice — matmul results are
-// bitwise deterministic across both.
-void gemm_rows(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
-               const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
-               float* c, std::size_t m, std::size_t k, std::size_t n,
-               const kernels::GemmEpilogue& epilogue) {
-  const auto rows = [&](std::size_t begin, std::size_t end) {
-    if (begin >= end) return;
-    kernels::gemm(a + static_cast<std::ptrdiff_t>(begin) * a_rs, a_rs, a_cs,
-                  b, b_rs, b_cs, c + begin * n, end - begin, k, n, epilogue);
-  };
-  if (m * k * n >= kParallelThreshold && m > 1) {
-    util::ThreadPool::global().parallel_for(m, rows);
-  } else {
-    rows(0, m);
-  }
-}
+// Every product goes through kernels::gemm, which splits C's rows across the
+// global pool above its threshold; the split keeps each output element's
+// k-ascending fma chain intact, so matmul results are bitwise identical for
+// any worker count and kernel choice.
 
 void matmul(const Mat& a, const Mat& b, Mat& out) {
   assert(a.cols() == b.rows());
@@ -49,8 +17,8 @@ void matmul(const Mat& a, const Mat& b, Mat& out) {
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   out = Mat(m, n);
-  gemm_rows(a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
-            static_cast<std::ptrdiff_t>(n), 1, out, m, k, n, {});
+  kernels::gemm(a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
+                static_cast<std::ptrdiff_t>(n), 1, out.data(), m, k, n);
 }
 
 void matmul_at_b(const Mat& a, const Mat& b, Mat& out) {
@@ -61,8 +29,8 @@ void matmul_at_b(const Mat& a, const Mat& b, Mat& out) {
   out = Mat(m, n);
   // a is K x M row-major, so A^T element (i, kk) lives at a[kk * m + i]:
   // row stride 1, column stride m.
-  gemm_rows(a.data(), 1, static_cast<std::ptrdiff_t>(m), b.data(),
-            static_cast<std::ptrdiff_t>(n), 1, out, m, k, n, {});
+  kernels::gemm(a.data(), 1, static_cast<std::ptrdiff_t>(m), b.data(),
+                static_cast<std::ptrdiff_t>(n), 1, out.data(), m, k, n);
 }
 
 void matmul_a_bt(const Mat& a, const Mat& b, Mat& out) {
@@ -73,8 +41,8 @@ void matmul_a_bt(const Mat& a, const Mat& b, Mat& out) {
   out = Mat(m, n);
   // b is N x K row-major, so B^T element (kk, j) lives at b[j * k + kk]:
   // row stride 1, column stride k.
-  gemm_rows(a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(), 1,
-            static_cast<std::ptrdiff_t>(k), out, m, k, n, {});
+  kernels::gemm(a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(), 1,
+                static_cast<std::ptrdiff_t>(k), out.data(), m, k, n);
 }
 
 void matmul_bias(const Mat& a, const Mat& b, const std::vector<float>& bias,
@@ -89,8 +57,9 @@ void matmul_bias(const Mat& a, const Mat& b, const std::vector<float>& bias,
   epilogue.bias = bias.data();
   epilogue.act = act;
   epilogue.alpha = alpha;
-  gemm_rows(a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
-            static_cast<std::ptrdiff_t>(n), 1, out, m, k, n, epilogue);
+  kernels::gemm(a.data(), static_cast<std::ptrdiff_t>(k), 1, b.data(),
+                static_cast<std::ptrdiff_t>(n), 1, out.data(), m, k, n,
+                epilogue);
 }
 
 void add_row_vector(Mat& m, const std::vector<float>& bias) {

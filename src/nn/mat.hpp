@@ -1,5 +1,7 @@
 // Dense row-major float32 matrix: the only tensor type the NN library needs.
-// A (batch x features) matrix carries one sample per row.
+// A (batch x features) matrix carries one sample per row.  The products
+// below are thin wrappers over kernels::gemm, which owns the row split
+// across the process thread pool; nothing here threads.
 #pragma once
 
 #include <cstddef>
@@ -52,15 +54,5 @@ void matmul_bias(const Mat& a, const Mat& b, const std::vector<float>& bias,
                  float alpha = 0.3f);
 /// Add the row vector `bias` (1 x N) to every row of `m` (M x N).
 void add_row_vector(Mat& m, const std::vector<float>& bias);
-
-/// Row-parallel GEMM over raw row-major buffers: C rows are partitioned
-/// across the global thread pool above a flop threshold.  The Mat product
-/// helpers above and the ir::Executor dense op share this; a row partition
-/// keeps every output element's fma chain intact, so the result is bitwise
-/// identical to one kernels::gemm call for any worker count.
-void gemm_rows(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
-               const float* b, std::ptrdiff_t b_rs, std::ptrdiff_t b_cs,
-               float* c, std::size_t m, std::size_t k, std::size_t n,
-               const kernels::GemmEpilogue& epilogue);
 
 }  // namespace mldist::nn

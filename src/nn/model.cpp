@@ -183,14 +183,10 @@ Mat slice_rows(const Mat& x, std::size_t begin, std::size_t end) {
   std::copy(x.row(begin), x.row(begin) + (end - begin) * x.cols(), out.data());
   return out;
 }
-
-util::ThreadPool& pool_or_global(util::ThreadPool* pool) {
-  return pool != nullptr ? *pool : util::ThreadPool::global();
-}
 }  // namespace
 
 std::vector<int> Sequential::predict(const Mat& x, std::size_t batch_size,
-                                     util::ThreadPool* pool) {
+                                     std::size_t threads) {
   const std::size_t n = x.rows();
   obs::Span span("predict", "nn");
   span.arg("rows", static_cast<std::uint64_t>(n));
@@ -200,14 +196,14 @@ std::vector<int> Sequential::predict(const Mat& x, std::size_t batch_size,
   if (batches <= 1) return argmax_rows(forward(x));
 
   std::vector<int> out(n);
-  pool_or_global(pool).parallel_for(batches, [&](std::size_t b0, std::size_t b1) {
+  util::ThreadPool::global().parallel_for(batches, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
       const std::size_t begin = b * bs;
       const std::size_t end = std::min(n, begin + bs);
       const std::vector<int> pred = argmax_rows(forward(slice_rows(x, begin, end)));
       std::copy(pred.begin(), pred.end(), out.begin() + static_cast<std::ptrdiff_t>(begin));
     }
-  });
+  }, threads);
   return out;
 }
 
@@ -346,7 +342,7 @@ EpochStats Sequential::fit(const Dataset& train, Optimizer& opt,
 }
 
 EvalResult Sequential::evaluate(const Dataset& data, std::size_t batch_size,
-                                util::ThreadPool* pool) {
+                                std::size_t threads) {
   assert(data.x.rows() == data.y.size());
   const std::size_t n = data.size();
   const std::size_t bs = std::max<std::size_t>(1, batch_size);
@@ -359,7 +355,7 @@ EvalResult Sequential::evaluate(const Dataset& data, std::size_t batch_size,
   // bitwise identical to a serial pass regardless of the worker count.
   std::vector<double> batch_loss(batches, 0.0);
   std::vector<std::size_t> batch_hits(batches, 0);
-  pool_or_global(pool).parallel_for(batches, [&](std::size_t b0, std::size_t b1) {
+  util::ThreadPool::global().parallel_for(batches, [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
       const std::size_t begin = b * bs;
       const std::size_t end = std::min(n, begin + bs);
@@ -373,7 +369,7 @@ EvalResult Sequential::evaluate(const Dataset& data, std::size_t batch_size,
       batch_hits[b] = static_cast<std::size_t>(
           std::lround(lr.accuracy * static_cast<double>(end - begin)));
     }
-  });
+  }, threads);
   double loss_sum = 0.0;
   std::size_t hits = 0;
   for (std::size_t b = 0; b < batches; ++b) {

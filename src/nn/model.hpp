@@ -23,10 +23,6 @@
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
-namespace mldist::util {
-class ThreadPool;
-}
-
 namespace mldist::nn {
 
 /// A labelled classification data set: one sample per row of X, integer
@@ -95,11 +91,12 @@ class Sequential {
   Mat predict_proba(const Mat& x);
 
   /// Argmax class predictions.  Rows are scored in fixed `batch_size`
-  /// slices fanned out over `pool` (nullptr = the process-wide pool); each
-  /// row's logits are independent of its batch, so the predictions are
-  /// bitwise identical for any worker count.
+  /// slices fanned out over the process pool, at most `threads` at a time
+  /// (0 = the whole pool, 1 = inline); each row's logits are independent
+  /// of its batch, so the predictions are bitwise identical for any worker
+  /// count.
   std::vector<int> predict(const Mat& x, std::size_t batch_size = 512,
-                           util::ThreadPool* pool = nullptr);
+                           std::size_t threads = 0);
 
   /// Mini-batch training with softmax cross-entropy.  Returns the stats of
   /// the final epoch.  With options.health set, throws nn::TrainingDiverged
@@ -111,10 +108,11 @@ class Sequential {
   void zero_grad();
 
   /// Loss and accuracy over a data set.  Independent batches are scored
-  /// concurrently on `pool` (nullptr = the process-wide pool) and reduced
-  /// in batch order, so the result does not depend on the worker count.
+  /// concurrently on the process pool, at most `threads` at a time (0 = the
+  /// whole pool, 1 = inline), and reduced in batch order, so the result
+  /// does not depend on the worker count.
   EvalResult evaluate(const Dataset& data, std::size_t batch_size = 512,
-                      util::ThreadPool* pool = nullptr);
+                      std::size_t threads = 0);
 
   /// All trainable parameters, in layer order.
   std::vector<ParamView> params();

@@ -20,10 +20,10 @@
 // convention such metric names end in "_ns" (or "_us"), and the
 // thread-count-invariance test skips exactly that suffix.
 //
-// Threads that exit (dedicated pools are created per parallel_for_threads
-// call) retire their shard into a retained accumulator under the registry
-// lock, so no count is ever lost and shard memory does not grow with the
-// number of threads ever created.
+// Threads that exit (a stopped daemon's event loop and model workers, test
+// threads, pools a test builds) retire their shard into a retained
+// accumulator under the registry lock, so no count is ever lost and shard
+// memory does not grow with the number of threads ever created.
 #pragma once
 
 #include <array>

@@ -15,10 +15,10 @@
 // Buffering: per-thread vectors guarded by a per-thread mutex that is only
 // contended during flush, so recording never serialises workers against
 // each other.  A thread that exits splices its events into the tracer's
-// retained list (dedicated pools come and go per parallel_for_threads
-// call).  Each thread buffers at most kMaxEventsPerThread events; further
-// events are counted as dropped, never silently lost (the count lands in
-// the trace file's otherData).
+// retained list (a stopped daemon's threads, test threads).  Each thread
+// buffers at most kMaxEventsPerThread events; further events are counted
+// as dropped, never silently lost (the count lands in the trace file's
+// otherData).
 //
 // Output schema (the "JSON Object Format" of the Chrome trace_event spec —
 // load it at chrome://tracing or https://ui.perfetto.dev):

@@ -50,61 +50,72 @@ void ThreadPool::worker_loop(std::size_t index) {
       seen = generation_;
       task = tasks_[index];
     }
+    // A worker without a chunk in this call owes it nothing: the caller
+    // counts only the chunks it handed out.
+    if (task.body == nullptr) continue;
     std::exception_ptr error;
-    if (task.body != nullptr && task.begin < task.end) {
+    {
       RegionGuard guard;
       try {
         (*task.body)(task.begin, task.end);
       } catch (...) {
         // An exception escaping a worker thread would std::terminate the
         // process; capture it here and let parallel_for rethrow it on the
-        // calling thread once the generation has drained.
+        // calling thread once the call has drained.
         error = std::current_exception();
       }
     }
+    bool last = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (error != nullptr && error_ == nullptr) error_ = error;
-      --pending_;
+      last = --pending_ == 0;
     }
-    done_.notify_one();
+    if (last) done_.notify_one();
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t total = thread_count();
-  if (n == 0) return;
-  if (total == 1 || n == 1 || tls_in_parallel_region) {
+std::size_t ThreadPool::parallel_for(
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
+    std::size_t max_workers) {
+  if (n == 0) return 1;
+  std::size_t chunks = std::min(thread_count(), n);
+  if (max_workers != 0) chunks = std::min(chunks, max_workers);
+  const std::size_t per = (n + chunks - 1) / chunks;
+  // Chunks past the end of a ragged partition are empty and never run.
+  chunks = (n + per - 1) / per;
+
+  bool fan_out = chunks > 1 && !tls_in_parallel_region;
+  if (fan_out) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (busy_) {
+      fan_out = false;  // another caller's range holds the workers
+    } else {
+      busy_ = true;
+      pending_ = chunks - 1;
+      for (std::size_t i = 0; i < tasks_.size(); ++i) {
+        const std::size_t c = i + 1;  // chunk 0 runs on the calling thread
+        tasks_[i] = c < chunks
+                        ? Task{&body, c * per, std::min(n, (c + 1) * per)}
+                        : Task{};
+      }
+      ++generation_;
+    }
+  }
+  if (!fan_out) {
+    // The partition contract makes one chunk bitwise-identical to many.
     RegionGuard guard;
     body(0, n);
-    return;
-  }
-  const std::size_t chunks = std::min(total, n);
-  const std::size_t per = (n + chunks - 1) / chunks;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_ = 0;
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const std::size_t c = i + 1;  // chunk 0 runs on the calling thread
-      if (c < chunks) {
-        tasks_[i] = {&body, c * per, std::min(n, (c + 1) * per)};
-        ++pending_;
-      } else {
-        tasks_[i] = {nullptr, 0, 0};
-        ++pending_;  // worker still acknowledges the generation
-      }
-    }
-    ++generation_;
+    return 1;
   }
   wake_.notify_all();
   // The calling thread's own chunk may throw too; either way the workers
-  // must finish the generation first — they still hold a pointer to `body`.
+  // must finish first — they still hold a pointer to `body`.
   std::exception_ptr caller_error;
   {
     RegionGuard guard;
     try {
-      body(0, std::min(n, per));
+      body(0, per);
     } catch (...) {
       caller_error = std::current_exception();
     }
@@ -114,33 +125,21 @@ void ThreadPool::parallel_for(
     std::unique_lock<std::mutex> lock(mutex_);
     done_.wait(lock, [&] { return pending_ == 0; });
     error = caller_error != nullptr ? caller_error : error_;
-    error_ = nullptr;  // the pool stays usable for the next parallel_for
+    error_ = nullptr;  // the pool stays usable for the next caller
+    busy_ = false;
   }
   if (error != nullptr) std::rethrow_exception(error);
+  return chunks;
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
-std::size_t parallel_for_threads(
-    std::size_t threads, std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return 1;
-  if (threads == 1 || n == 1 || tls_in_parallel_region) {
-    RegionGuard guard;
-    body(0, n);
-    return 1;
-  }
-  if (threads == 0) {
-    ThreadPool& pool = ThreadPool::global();
-    pool.parallel_for(n, body);
-    return pool.thread_count();
-  }
-  ThreadPool pool(threads);
-  pool.parallel_for(n, body);
-  return pool.thread_count();
+  // Intentionally leaked, like obs::Logger: the first parallel_for may
+  // build the pool before the statics its chunks touch (the metrics
+  // registry), and joining the workers at exit would run their thread
+  // exit hooks after those statics are gone.  Idle workers block on the
+  // leaked condition variable until the process ends.
+  static ThreadPool* const pool = new ThreadPool();
+  return *pool;
 }
 
 }  // namespace mldist::util

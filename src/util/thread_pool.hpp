@@ -1,21 +1,31 @@
-// A minimal persistent thread pool with a parallel_for primitive.
+// The process thread pool and its parallel_for primitive.
 //
-// The data engine (core/dataset) and the NN hot paths (matmul, batched
-// evaluate/predict) use it to split independent work across cores.
+// The data engine (core/dataset), the batched evaluate/predict loops and
+// the compute kernels (kernels::gemm's row split, kernels::conv1d_forward's
+// batch split) fan independent work out over ThreadPool::global().  Only
+// tests construct other pools: a `threads = N` option caps one call's
+// fan-out on the global pool (parallel_for's `max_workers`), it never
+// spawns threads of its own.
+//
 // parallel_for partitions [0, n) into one contiguous chunk per worker, so
 // results are bitwise independent of the worker count as long as chunks
-// write disjoint memory.
+// write disjoint memory.  That contract is what makes the two inline
+// fallbacks below free:
 //
-// parallel_for is reentrancy-safe: a call made from inside a parallel_for
-// body (e.g. a matmul running under the batch-level evaluate loop) executes
-// the whole range inline on the current thread instead of re-entering the
-// pool.  The outermost caller therefore owns the fan-out and nested levels
-// degrade to serial, which both avoids deadlock and keeps the work grid —
-// hence the results — identical.
+//   * reentrancy: a call made from inside a parallel_for body (e.g. a GEMM
+//     running under the batch-level evaluate loop) executes its whole range
+//     inline on the current thread.  The outermost caller owns the fan-out
+//     and nested levels degrade to serial, which avoids deadlock and keeps
+//     the work grid — hence the results — identical;
+//   * concurrent callers: any thread may call parallel_for (two serving
+//     workers forwarding two models, say).  A caller that finds the pool
+//     busy with another caller's range runs its own range inline, as if
+//     nested, instead of waiting for the pool or sharing it.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -35,18 +45,24 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size() + 1; }
 
-  /// Run body(begin, end) over a partition of [0, n); blocks until all
-  /// chunks finish.  The calling thread executes one chunk itself.
+  /// Run body(begin, end) over a partition of [0, n) into
+  /// min(n, thread_count(), max_workers) contiguous chunks (max_workers = 0
+  /// means no cap, 1 runs inline); blocks until all chunks finish.  The
+  /// calling thread executes the first chunk itself.  Returns the number of
+  /// chunks the range was split into: 1 when it ran inline — nested, busy
+  /// pool, capped at 1 or n <= 1.
   ///
-  /// Exception safety: a throw from any chunk no longer escapes its worker
-  /// thread (which would std::terminate the process).  The generation is
-  /// drained, then the exception — the calling thread's own, else the first
-  /// one a worker captured — is rethrown here.  Other chunks are NOT
-  /// cancelled (they run to completion), and the pool remains usable.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body);
+  /// Exception safety: a throw from any chunk never escapes its worker
+  /// thread (which would std::terminate the process).  The call drains, then
+  /// the exception — the calling thread's own, else the first one a worker
+  /// captured — is rethrown here.  Other chunks are NOT cancelled (they run
+  /// to completion), and the pool remains usable.
+  std::size_t parallel_for(
+      std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
+      std::size_t max_workers = 0);
 
-  /// Process-wide pool (lazily constructed, sized to the hardware).
+  /// Process-wide pool (lazily constructed, sized to the hardware, never
+  /// destroyed).
   static ThreadPool& global();
 
   /// True while the current thread is executing a parallel_for chunk (of any
@@ -67,19 +83,11 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
-  std::size_t pending_ = 0;
+  std::size_t pending_ = 0;       // chunks handed to workers, not yet done
   std::uint64_t generation_ = 0;
+  bool busy_ = false;             // a caller's range is in flight
   bool stop_ = false;
-  std::exception_ptr error_;      // first task-body exception this generation
+  std::exception_ptr error_;      // first task-body exception this call
 };
-
-/// Run body over [0, n) with the fan-out implied by `threads`: 0 = the
-/// process-wide pool, 1 = inline serial, otherwise a dedicated pool of that
-/// many workers.  Inside an enclosing parallel region the body always runs
-/// inline (see the reentrancy contract above).  Returns the worker count
-/// actually used, for telemetry.
-std::size_t parallel_for_threads(
-    std::size_t threads, std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace mldist::util

@@ -9,6 +9,7 @@
 // sequences that are bitwise identical per element (see DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -33,6 +34,7 @@
 #include "nn/serialize.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -269,6 +271,7 @@ TEST(IrConv1D, DirectMatchesIm2colBitwise) {
            {2, 5, 1, 4, 5},   // wide kernel, half=2
            {4, 7, 3, 2, 1},   // kernel 1: whole-batch GEMM degenerate case
            {1, 2, 2, 2, 3},   // length < kernel: direct falls back to im2col
+           {8, 64, 32, 32, 3},  // above kParallelThreshold: batch split
        }) {
     std::vector<float> x(s.batch * s.length * s.cin);
     std::vector<float> w(s.kernel * s.cin * s.cout);
@@ -284,18 +287,34 @@ TEST(IrConv1D, DirectMatchesIm2colBitwise) {
                             " kernel=" + std::to_string(s.kernel);
     std::vector<float> want(s.batch * s.length * s.cout);
     std::vector<float> got(want.size());
+    // Inside a (one-chunk) parallel region the conv runs unsplit: the
+    // specification the batch split must match.
+    const auto conv = [&](kernels::Conv1DAlgo algo, bool split,
+                          std::vector<float>& y) {
+      std::fill(y.begin(), y.end(), -1.0f);
+      const auto run = [&](std::size_t, std::size_t) {
+        kernels::conv1d_forward(x.data(), y.data(), s, w.data(), ep, algo);
+      };
+      if (split) {
+        run(0, 1);
+      } else {
+        util::ThreadPool::global().parallel_for(1, run);
+      }
+    };
     for (Impl impl : kernels::available_impls()) {
       kernels::set_dispatch(impl);
-      for (auto* pair : {&want, &got}) {
-        const auto algo = pair == &want ? kernels::Conv1DAlgo::kIm2col
-                                        : kernels::Conv1DAlgo::kDirect;
-        std::vector<float> scratch(kernels::conv1d_scratch_floats(s, algo));
-        kernels::conv1d_forward(x.data(), pair->data(), s, w.data(), ep, algo,
-                                scratch.empty() ? nullptr : scratch.data());
-      }
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(bits_of(got[i]), bits_of(want[i]))
-            << tag << " impl=" << kernels::impl_name(impl) << " i=" << i;
+      conv(kernels::Conv1DAlgo::kIm2col, /*split=*/false, want);
+      for (const auto algo :
+           {kernels::Conv1DAlgo::kIm2col, kernels::Conv1DAlgo::kDirect}) {
+        for (const bool split : {true, false}) {
+          conv(algo, split, got);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(bits_of(got[i]), bits_of(want[i]))
+                << tag << " impl=" << kernels::impl_name(impl)
+                << " algo=" << kernels::conv1d_algo_name(algo)
+                << (split ? " split" : " unsplit") << " i=" << i;
+          }
+        }
       }
     }
   }

@@ -41,6 +41,7 @@
 #include "nn/model.hpp"
 #include "nn/residual.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 // Every plain new in this binary goes through the counting global operator
 // new below (the array and nothrow forms forward to it), so a test can
@@ -154,7 +155,9 @@ struct Shape {
 // multiples (6x16 micro-tile), off-by-one around tile and cache-block
 // (KC=256, MC=126, NC=512) boundaries, and pairs straddling the blocked
 // driver's bypass (fewer than 16 outputs m*n take the elementwise chain):
-// classifier heads (m x k x 2) and Gohr conv products (x 96 x 32).
+// classifier heads (m x k x 2) and Gohr conv products (x 96 x 32).  The
+// last shape is above kernels::kParallelThreshold, so the dispatched
+// kernels::gemm splits its rows across the pool.
 const Shape kShapes[] = {
     {1, 1, 1},    {1, 7, 1},    {7, 1, 3},     {1, 1, 64},   {64, 1, 1},
     {2, 300, 2},  {300, 2, 2},  {2, 2, 300},   {6, 32, 16},  {12, 64, 32},
@@ -162,7 +165,17 @@ const Shape kShapes[] = {
     {127, 33, 31}, {31, 513, 9}, {64, 100, 520},
     {1, 64, 2},   {7, 130, 2},  {8, 130, 2},   {15, 9, 1},   {16, 9, 1},
     {3, 50, 5},   {1, 40, 16},  {2, 96, 32},   {62, 96, 32},
+    {97, 160, 48},
 };
+static_assert(97 * 160 * 48 >= kernels::kParallelThreshold);
+
+/// Run `fn` as the body of a one-chunk parallel region, where kernels::gemm
+/// and kernels::conv1d_forward run unsplit.
+template <typename Fn>
+void in_parallel_region(Fn&& fn) {
+  util::ThreadPool::global().parallel_for(
+      1, [&](std::size_t, std::size_t) { fn(); });
+}
 
 void run_gemm_all_impls(std::size_t m, std::size_t k, std::size_t n,
                         std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
@@ -182,6 +195,23 @@ void run_gemm_all_impls(std::size_t m, std::size_t k, std::size_t n,
     expect_bitwise_equal(got, want,
                          what + " impl=" + kernels::impl_name(impl));
   }
+  // The dispatched entry point, split across the pool from the threshold
+  // and unsplit inside a parallel region, under every backend.
+  for (Impl impl : kernels::available_impls()) {
+    kernels::set_dispatch(impl);
+    std::vector<float> split(m * n, -12345.0f);
+    std::vector<float> unsplit(m * n, -12345.0f);
+    const auto product = [&](std::vector<float>& c) {
+      kernels::gemm(a.data(), a_rs, a_cs, b.data(), b_rs, b_cs, c.data(), m,
+                    k, n, ep);
+    };
+    product(split);
+    in_parallel_region([&] { product(unsplit); });
+    const std::string tag = what + " gemm impl=" + kernels::impl_name(impl);
+    expect_bitwise_equal(split, want, tag + " split");
+    expect_bitwise_equal(unsplit, want, tag + " unsplit");
+  }
+  kernels::set_dispatch(kStartupImpl);
 }
 
 TEST(GemmEquivalence, RowMajorShapes) {

@@ -43,7 +43,6 @@
 #include "util/process.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -161,9 +160,8 @@ void run_pipeline(std::size_t threads) {
 
   util::Xoshiro256 rng(7);
   auto model = core::build_default_mlp(data.x.cols(), 2, rng);
-  util::ThreadPool pool(threads);
-  (void)model->evaluate(data, /*batch_size=*/16, &pool);
-  (void)model->predict(data.x, /*batch_size=*/16, &pool);
+  (void)model->evaluate(data, /*batch_size=*/16, threads);
+  (void)model->predict(data.x, /*batch_size=*/16, threads);
 }
 
 TEST(Metrics, CountersBitwiseIdenticalAcrossThreadCounts) {

@@ -4,7 +4,7 @@
 //     size) — bitwise identical for every worker count, including sizes
 //     that do not divide evenly into chunks;
 //   * Sequential::evaluate / predict reduce per-batch partials in batch
-//     order — identical results for every pool size;
+//     order — identical results for every worker cap;
 //   * nested parallel_for calls run inline instead of deadlocking;
 //   * concurrent GEMMs on per-thread pack panels stay bitwise equal to the
 //     reference kernel;
@@ -132,7 +132,7 @@ TEST(CollectEngine, TelemetryCountsQueriesAndRows) {
 }
 
 // ---------------------------------------------------------------------------
-// evaluate / predict across pool sizes
+// evaluate / predict across worker caps
 // ---------------------------------------------------------------------------
 
 TEST(ParallelEval, EvaluateAndPredictStableAcrossPoolSizes) {
@@ -148,18 +148,16 @@ TEST(ParallelEval, EvaluateAndPredictStableAcrossPoolSizes) {
   auto model = config.make_model(target);
 
   // Small batches force many parallel slices over the 400-row set.
-  util::ThreadPool one(1);
-  const nn::EvalResult ref = model->evaluate(data, 32, &one);
-  const std::vector<int> ref_pred = model->predict(data.x, 32, &one);
+  const nn::EvalResult ref = model->evaluate(data, 32, 1);
+  const std::vector<int> ref_pred = model->predict(data.x, 32, 1);
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    util::ThreadPool pool(threads);
-    const nn::EvalResult got = model->evaluate(data, 32, &pool);
+    const nn::EvalResult got = model->evaluate(data, 32, threads);
     EXPECT_EQ(got.loss, ref.loss) << "threads=" << threads;
     EXPECT_EQ(got.accuracy, ref.accuracy) << "threads=" << threads;
-    EXPECT_EQ(model->predict(data.x, 32, &pool), ref_pred)
+    EXPECT_EQ(model->predict(data.x, 32, threads), ref_pred)
         << "threads=" << threads;
   }
-  // The global pool (whatever its size) must agree too.
+  // The whole pool (whatever its size) must agree too.
   const nn::EvalResult global = model->evaluate(data, 32);
   EXPECT_EQ(global.loss, ref.loss);
   EXPECT_EQ(global.accuracy, ref.accuracy);
@@ -172,7 +170,7 @@ TEST(ParallelEval, EvaluateAndPredictStableAcrossPoolSizes) {
 TEST(NestedParallel, InnerParallelForRunsInlineWithoutDeadlock) {
   std::atomic<int> outer{0};
   std::atomic<int> inner{0};
-  util::parallel_for_threads(4, 8, [&](std::size_t begin, std::size_t end) {
+  const auto outer_body = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       ++outer;
       EXPECT_TRUE(util::ThreadPool::in_parallel_region());
@@ -182,7 +180,8 @@ TEST(NestedParallel, InnerParallelForRunsInlineWithoutDeadlock) {
             inner += static_cast<int>(e - b);
           });
     }
-  });
+  };
+  util::ThreadPool::global().parallel_for(8, outer_body, 4);
   EXPECT_EQ(outer.load(), 8);
   EXPECT_EQ(inner.load(), 8 * 4);
   EXPECT_FALSE(util::ThreadPool::in_parallel_region());

@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -90,9 +91,16 @@ struct HttpResult {
   std::string body;
 };
 
+/// Every test connection gives up reading after this long, so a daemon
+/// that never answers (a wedged thread pool, say) fails the test with
+/// status 0 instead of stalling the suite.
+constexpr int kRecvDeadlineSeconds = 60;
+
 int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  const timeval deadline{kRecvDeadlineSeconds, 0};
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -563,6 +571,63 @@ TEST_F(DaemonTest, BatchedResponsesAreByteIdenticalToUnbatched) {
     const std::string single_pred =
         single.body.substr(s + key.size(), e - s - key.size() + 1);
     EXPECT_EQ(single_pred, batched_preds[i]) << "row " << i;
+  }
+}
+
+// Two models served at once.  At 8 rows both forwards split across the one
+// process pool (gohr-net/2's convs and default-mlp's 128->1024 dense are
+// above kernels::kParallelThreshold), so the two models' batch workers are
+// concurrent callers of util::ThreadPool::global().  Every answer must
+// still equal the in-process predict_proba rendering.
+TEST_F(DaemonTest, TwoModelsServedConcurrentlyMatchInProcessAnswers) {
+  StartDaemon(serve::ServeOptions{});
+  const std::uint16_t port = daemon_->port();
+  constexpr int kRequestsPerClient = 200;
+  constexpr std::size_t kRows = 8;
+
+  struct Client {
+    std::vector<std::string> bodies;
+    std::vector<std::string> expected;
+    int ok = 0;
+    int mismatched = 0;
+  };
+  std::vector<Client> clients;
+  for (const std::string name : {"gohr", "mlp"}) {
+    const serve::ModelEntry& entry = *registry_.find(name);
+    Client c;
+    for (std::uint64_t r = 0; r < 4; ++r) {
+      std::vector<std::string> inputs;
+      for (std::size_t i = 0; i < kRows; ++i) {
+        inputs.push_back(hex_input(1000 + r * kRows + i, entry.input_bits / 8));
+      }
+      nn::Mat x;
+      std::string error;
+      ASSERT_TRUE(serve::decode_inputs(inputs, entry.input_bits, &x, &error))
+          << error;
+      c.bodies.push_back(classify_body(name, inputs));
+      c.expected.push_back(serve::render_classify_response(
+                               entry, entry.model->predict_proba(x)) +
+                           "\n");
+    }
+    clients.push_back(std::move(c));
+  }
+
+  std::vector<std::thread> threads;
+  for (Client& c : clients) {
+    threads.emplace_back([&, port] {
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        const std::size_t r = static_cast<std::size_t>(i) % c.bodies.size();
+        const HttpResult res = http_post(port, "/v1/classify", c.bodies[r]);
+        if (res.status != 200) continue;
+        ++c.ok;
+        if (res.body != c.expected[r]) ++c.mismatched;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Client& c : clients) {
+    EXPECT_EQ(c.ok, kRequestsPerClient);
+    EXPECT_EQ(c.mismatched, 0);
   }
 }
 

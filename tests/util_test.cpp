@@ -9,7 +9,12 @@
 #include <set>
 #include <stdexcept>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <thread>
 
 #include "util/bits.hpp"
 #include "util/flags.hpp"
@@ -523,6 +528,107 @@ TEST(ThreadPool, OtherChunksStillRunWhenOneThrows) {
   }
   // No cancellation: every chunk ran to completion exactly once.
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, MaxWorkersCapsTheFanOut) {
+  ThreadPool pool(4);
+  std::atomic<int> chunks{0};
+  const auto count = [&](std::size_t, std::size_t) { chunks.fetch_add(1); };
+  EXPECT_EQ(pool.parallel_for(100, count, 2), 2u);
+  EXPECT_EQ(chunks.exchange(0), 2);
+  EXPECT_EQ(pool.parallel_for(100, count), 4u);
+  EXPECT_EQ(chunks.exchange(0), 4);
+  // 5 rows over 4 workers split 2+2+1: the empty fourth chunk never runs.
+  EXPECT_EQ(pool.parallel_for(5, count), 3u);
+  EXPECT_EQ(chunks.exchange(0), 3);
+  // A cap of 1 runs the whole range inline, as a parallel region.
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_EQ(pool.parallel_for(100,
+                              [&](std::size_t b, std::size_t e) {
+                                EXPECT_EQ(b, 0u);
+                                EXPECT_EQ(e, 100u);
+                                EXPECT_EQ(std::this_thread::get_id(), caller);
+                                EXPECT_TRUE(ThreadPool::in_parallel_region());
+                              },
+                              1),
+            1u);
+}
+
+// A caller that finds the pool running another caller's range runs its
+// own range inline on its own thread instead of waiting or sharing.
+TEST(ThreadPool, BusyPoolRunsTheSecondCallerInline) {
+  ThreadPool pool(2);
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  std::size_t first_fan_out = 0;
+  std::thread first([&] {
+    first_fan_out = pool.parallel_for(2, [&](std::size_t, std::size_t) {
+      entered.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (entered.load() == 0) std::this_thread::yield();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(50, 0);
+  bool inline_region = true;
+  const std::size_t fan_out =
+      pool.parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
+        inline_region = inline_region &&
+                        std::this_thread::get_id() == caller &&
+                        ThreadPool::in_parallel_region();
+        for (std::size_t i = b; i < e; ++i) ++hits[i];
+      });
+  release.store(true);
+  first.join();
+  EXPECT_EQ(fan_out, 1u);
+  EXPECT_TRUE(inline_region);
+  for (int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_EQ(first_fan_out, 2u);
+  EXPECT_EQ(entered.load(), 2);
+}
+
+// Several threads outside the pool call the one process pool at once, as
+// two models' serving workers do.  Every call must visit each index of its
+// own range exactly once; a wedged pool fails at the deadline instead of
+// stalling the suite.
+TEST(ThreadPool, ConcurrentCallersCoverEveryIndexOnce) {
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 3000;
+  std::atomic<int> finished{0};
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int call = 0; call < kCalls; ++call) {
+        const auto n = static_cast<std::size_t>(1 + (call * 7 + t * 13) % 61);
+        std::array<std::atomic<int>, 64> hits{};
+        ThreadPool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+          if (hits[i].load() != 1) {
+            bad_calls.fetch_add(1);
+            break;
+          }
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(2);
+  while (finished.load() < kCallers) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "ConcurrentCallersCoverEveryIndexOnce: %d of %d "
+                   "callers finished before the deadline; the pool is "
+                   "wedged\n", finished.load(), kCallers);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (std::thread& th : callers) th.join();
+  EXPECT_EQ(bad_calls.load(), 0);
 }
 
 }  // namespace

@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
   const core::GimliCipherTarget target(rounds);
   util::Xoshiro256 rng(opt.seed);
   auto model = core::build_default_mlp(128, 2, rng);
-  core::DistinguisherOptions dopt;
-  dopt.epochs = epochs;
-  dopt.seed = opt.seed ^ 0xc0b1;
-  core::MLDistinguisher dist(std::move(model), dopt);
+  core::ExperimentConfig config;
+  config.epochs = epochs;
+  config.seed = opt.seed ^ 0xc0b1;
+  core::MLDistinguisher dist(std::move(model), config);
   util::Timer timer;
   const core::TrainReport train = dist.train(target, train_base);
   std::printf("target %s, per-sample training accuracy a = %.4f (%.1fs)\n\n",

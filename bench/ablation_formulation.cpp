@@ -28,10 +28,10 @@ void run_target(const core::Target& target, std::size_t base, int epochs,
     util::Xoshiro256 rng(seed);
     auto model = core::build_default_mlp(target.output_bytes() * 8,
                                          target.num_differences(), rng);
-    core::DistinguisherOptions dopt;
-    dopt.epochs = epochs;
-    dopt.seed = seed ^ 0xf0;
-    core::MLDistinguisher dist(std::move(model), dopt);
+    core::ExperimentConfig config;
+    config.epochs = epochs;
+    config.seed = seed ^ 0xf0;
+    core::MLDistinguisher dist(std::move(model), config);
     paper_acc = dist.train(target, base).val_accuracy;
   }
   // (b) Gohr's formulation: same number of oracle queries. One paper base

@@ -44,10 +44,10 @@ int main(int argc, char** argv) {
     util::Xoshiro256 rng(opt.seed + i);
     const core::GimliHashTarget target(7, cases[i].positions);
     auto model = core::build_default_mlp(128, 2, rng);
-    core::DistinguisherOptions dopt;
-    dopt.epochs = epochs;
-    dopt.seed = opt.seed ^ (i * 7919);
-    core::MLDistinguisher dist(std::move(model), dopt);
+    core::ExperimentConfig config;
+    config.epochs = epochs;
+    config.seed = opt.seed ^ (i * 7919);
+    core::MLDistinguisher dist(std::move(model), config);
     util::Timer timer;
     const core::TrainReport rep = dist.train(target, base_inputs);
     std::printf("%-42s %-10.4f (%.1fs)\n", cases[i].label.c_str(),

@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
     util::Xoshiro256 rng(opt.seed + t);
     const core::GimliHashTarget target(6, positions);
     auto model = core::build_default_mlp(128, t, rng);
-    core::DistinguisherOptions dopt;
-    dopt.epochs = epochs;
-    dopt.seed = opt.seed ^ (t * 1337);
-    core::MLDistinguisher dist(std::move(model), dopt);
+    core::ExperimentConfig config;
+    config.epochs = epochs;
+    config.seed = opt.seed ^ (t * 1337);
+    core::MLDistinguisher dist(std::move(model), config);
     util::Timer timer;
     const core::TrainReport rep = dist.train(target, base_inputs);
     const double baseline = util::random_guess_accuracy(t);

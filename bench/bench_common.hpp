@@ -254,10 +254,10 @@ inline std::string options_json(const Options& opt) {
 inline core::TrainReport train_distinguisher(
     std::unique_ptr<nn::Sequential> model, const core::Target& target,
     std::size_t base_inputs, int epochs, std::uint64_t seed) {
-  core::DistinguisherOptions dopt;
-  dopt.epochs = epochs;
-  dopt.seed = seed;
-  core::MLDistinguisher dist(std::move(model), dopt);
+  core::ExperimentConfig config;
+  config.epochs = epochs;
+  config.seed = seed;
+  core::MLDistinguisher dist(std::move(model), config);
   return dist.train(target, base_inputs);
 }
 

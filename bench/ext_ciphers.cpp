@@ -107,10 +107,10 @@ int main(int argc, char** argv) {
     util::Xoshiro256 rng(opt.seed + i);
     auto model = core::build_default_mlp(target.output_bytes() * 8,
                                          target.num_differences(), rng);
-    core::DistinguisherOptions dopt;
-    dopt.epochs = epochs;
-    dopt.seed = opt.seed ^ (i * 104729);
-    core::MLDistinguisher dist(std::move(model), dopt);
+    core::ExperimentConfig config;
+    config.epochs = epochs;
+    config.seed = opt.seed ^ (i * 104729);
+    core::MLDistinguisher dist(std::move(model), config);
     util::Timer timer;
     const core::TrainReport rep = dist.train(target, base_inputs);
     const double p0 = 1.0 / static_cast<double>(target.num_differences());

@@ -27,10 +27,10 @@ int main(int argc, char** argv) {
 
   util::Xoshiro256 rng(opt.seed);
   auto model = core::build_default_mlp(32, 2, rng);
-  core::DistinguisherOptions dopt;
-  dopt.epochs = epochs;
-  dopt.seed = opt.seed ^ 0x4ec0;
-  core::MLDistinguisher dist(std::move(model), dopt);
+  core::ExperimentConfig config;
+  config.epochs = epochs;
+  config.seed = opt.seed ^ 0x4ec0;
+  core::MLDistinguisher dist(std::move(model), config);
   const core::SpeckTarget target(3, diffs);
   util::Timer timer;
   const core::TrainReport train = dist.train(target, train_base);

@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
       target.diffs()[0], target.diffs()[1]);
   util::Xoshiro256 rng(opt.seed);
   auto model = core::build_default_mlp(8, 2, rng);
-  core::DistinguisherOptions dopt;
-  dopt.epochs = opt.full ? 20 : 10;
-  dopt.seed = opt.seed ^ 0x70f;
-  core::MLDistinguisher dist(std::move(model), dopt);
+  core::ExperimentConfig config;
+  config.epochs = opt.full ? 20 : 10;
+  config.seed = opt.seed ^ 0x70f;
+  core::MLDistinguisher dist(std::move(model), config);
   const core::TrainReport rep =
       dist.train(target, opt.full ? 40000 : 8000);
 

@@ -35,15 +35,6 @@ namespace {
 
 using namespace mldist;
 
-const char* verdict_name(core::Verdict v) {
-  switch (v) {
-    case core::Verdict::kCipher: return "CIPHER";
-    case core::Verdict::kRandom: return "RANDOM";
-    case core::Verdict::kInconclusive: return "INCONCLUSIVE";
-  }
-  return "?";
-}
-
 struct Scenario {
   std::string name;
   core::TrainReport report;
@@ -84,10 +75,10 @@ int main(int argc, char** argv) {
   bench::print_rule();
 
   const auto run = [&](const char* name,
-                       const core::DistinguisherOptions& options) {
+                       const core::ExperimentConfig& scenario) {
     Scenario s;
     s.name = name;
-    core::MLDistinguisher dist(config.make_model(*target), options);
+    core::MLDistinguisher dist(*target, scenario);
     const util::Timer timer;
     s.report = dist.train(*target, config.offline_base_inputs);
     s.train_seconds = timer.seconds();
@@ -100,14 +91,13 @@ int main(int argc, char** argv) {
   };
 
   // 1. Clean, guards off: the pre-robustness fit path.
-  core::DistinguisherOptions unguarded(config);
+  core::ExperimentConfig unguarded = config;
   unguarded.health_checks = false;
   const Scenario clean = run("clean/unguarded", unguarded);
 
   // 2. Clean, guards on: same run with the health monitor watching every
   //    batch and epoch.  Accuracy must be bitwise identical to scenario 1.
-  const core::DistinguisherOptions guarded(config);
-  const Scenario watched = run("clean/guarded", guarded);
+  const Scenario watched = run("clean/guarded", config);
   const double overhead =
       clean.train_seconds > 0.0 ? watched.train_seconds / clean.train_seconds
                                 : 0.0;
@@ -115,17 +105,17 @@ int main(int argc, char** argv) {
       clean.report.val_accuracy == watched.report.val_accuracy;
 
   // 3. Forced divergence on attempt 1 only: rollback + retry recovers.
-  core::DistinguisherOptions diverging(config);
+  core::ExperimentConfig diverging = config;
   diverging.faults.poison_weight_epoch = 2;
   diverging.faults.poison_max_attempts = 1;
   const Scenario recovered = run("forced divergence", diverging);
 
   // 4. Poison every attempt: the retry budget runs out and the run degrades
   //    to the linear baseline instead of failing.
-  core::DistinguisherOptions exhausted(config);
+  core::ExperimentConfig exhausted = config;
   exhausted.faults.poison_weight_epoch = 1;
   exhausted.faults.poison_max_attempts = 1000;
-  exhausted.retry.max_attempts = 2;
+  exhausted.max_retries = 2;
   const Scenario degraded = run("degradation", exhausted);
   bench::print_rule();
 
@@ -135,7 +125,7 @@ int main(int argc, char** argv) {
   // --- online game under a faulty oracle ----------------------------------
   // Re-train the guarded distinguisher (train reports are stateless between
   // scenarios) and soak its inference path.
-  core::MLDistinguisher dist(config.make_model(*target), guarded);
+  core::MLDistinguisher dist(*target, config);
   (void)dist.train(*target, config.offline_base_inputs);
   util::FaultConfig oracle_faults;
   oracle_faults.drop_prob = 0.05;
@@ -149,7 +139,7 @@ int main(int argc, char** argv) {
   const auto counters = faulty.counters();
   std::printf("online under faults: a' = %.4f -> %s  (queries %llu, drops "
               "%llu, bit flips %llu, latency spikes %llu)\n",
-              online.accuracy, verdict_name(online.verdict),
+              online.accuracy, core::verdict_name(online.verdict),
               static_cast<unsigned long long>(counters.queries),
               static_cast<unsigned long long>(counters.drops),
               static_cast<unsigned long long>(counters.bit_flips),
@@ -168,7 +158,7 @@ int main(int argc, char** argv) {
   // --- artifact -----------------------------------------------------------
   util::JsonBuilder online_json;
   online_json.field("accuracy", online.accuracy)
-      .field("verdict", verdict_name(online.verdict))
+      .field("verdict", core::verdict_name(online.verdict))
       .field("samples", online.samples)
       .raw("fault_config", oracle_faults.to_json())
       .field("queries", counters.queries)

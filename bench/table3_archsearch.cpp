@@ -50,11 +50,11 @@ int main(int argc, char** argv) {
     auto model = core::build_architecture(info.name, 128, 2, rng);
     const std::size_t params = model->param_count();
 
-    core::DistinguisherOptions dopt;
-    dopt.epochs = epochs;
-    dopt.batch_size = 128;
-    dopt.seed = opt.seed ^ 0x7ab1e3;
-    core::MLDistinguisher dist(std::move(model), dopt);
+    core::ExperimentConfig config;
+    config.epochs = epochs;
+    config.batch_size = 128;
+    config.seed = opt.seed ^ 0x7ab1e3;
+    core::MLDistinguisher dist(std::move(model), config);
 
     util::Timer timer;
     const core::TrainReport rep = dist.train(target, base_inputs);

@@ -79,9 +79,9 @@ int main() {
   mldist::util::Xoshiro256 rng(99);
   auto model =
       mldist::core::build_default_mlp(target.output_bytes() * 8, 2, rng);
-  mldist::core::DistinguisherOptions options;
-  options.epochs = 5;
-  mldist::core::MLDistinguisher dist(std::move(model), options);
+  mldist::core::ExperimentConfig config;
+  config.epochs = 5;
+  mldist::core::MLDistinguisher dist(std::move(model), config);
 
   const mldist::core::TrainReport train = dist.train(target, 5000);
   std::printf("training accuracy a = %.4f (1/t = 0.5): %s\n",
@@ -91,7 +91,6 @@ int main() {
   const mldist::core::CipherOracle oracle(target);
   const mldist::core::OnlineReport rep = dist.test(oracle, 1500);
   std::printf("online a' = %.4f -> %s\n", rep.accuracy,
-              rep.verdict == mldist::core::Verdict::kCipher ? "CIPHER"
-                                                            : "RANDOM");
+              mldist::core::verdict_name(rep.verdict));
   return 0;
 }

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
 
   util::Xoshiro256 rng(7);
   auto model = core::build_default_mlp(128, 2, rng);
-  core::DistinguisherOptions options;
-  options.epochs = 3;
-  core::MLDistinguisher dist(std::move(model), options);
+  core::ExperimentConfig config;
+  config.epochs = 3;
+  core::MLDistinguisher dist(std::move(model), config);
 
   std::printf("offline phase: 5000 base messages (x3 hash queries each)\n");
   const core::TrainReport train = dist.train(target, 5000);
@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   const core::CipherOracle oracle(target);
   const core::OnlineReport rep = dist.test(oracle, 2000);
   std::printf("online phase: a' = %.4f over 2^%.1f queries -> verdict: %s\n",
-              rep.accuracy, rep.log2_data,
-              rep.verdict == core::Verdict::kCipher ? "CIPHER" : "RANDOM");
+              rep.accuracy, rep.log2_data, core::verdict_name(rep.verdict));
   std::remove(path.c_str());
   return 0;
 }

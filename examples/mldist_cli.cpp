@@ -11,7 +11,10 @@
 // gift64, gift128, toy, salsa, trivium (--rounds means init clocks for
 // trivium).  With --json the report
 // is printed as one machine-readable JSON line (config, per-phase telemetry,
-// verdict) instead of the human-readable text.
+// verdict) instead of the human-readable text.  `test` measures the loaded
+// model's accuracy a on fresh cipher data, then plays Algorithm 2's online
+// phase: the verdict is MLDistinguisher::decide's cipher, random or
+// inconclusive.
 //
 // Exit codes: 0 success, 1 distinguisher not usable, 2 usage/config error,
 // 3 runtime failure (I/O, corrupt model file, ...).  Failures print a
@@ -48,7 +51,6 @@
 #include "serve/registry.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -442,21 +444,24 @@ int cmd_test(const Args& args) {
   if (args.passes_set) model->set_pipeline(args.passes);
 
   // Rebind the distinguisher to the loaded weights: we must not re-train
-  // over them, so calibrate a on fresh cipher data with the weights frozen.
-  core::DistinguisherOptions opt(config);
-  core::MLDistinguisher dist(std::move(model), opt);
+  // over them, so calibrate a on fresh cipher data with the weights frozen
+  // and adopt it as the train report Algorithm 2's decide() reads.
+  core::MLDistinguisher dist(std::move(model), config);
   const core::CipherOracle calibration(*target);
-  double calibration_accuracy = 0.0;
+  core::TrainReport calibrated;
   {
-    core::CollectOptions copt = opt.collect_options(config.seed ^ 0xca11);
-    const nn::Dataset cal =
-        core::collect_dataset(calibration, 500, copt);
+    const nn::Dataset cal = core::collect_dataset(
+        calibration, 500,
+        core::CollectOptions{.seed = config.seed ^ 0xca11,
+                             .threads = config.threads});
     const auto pred = dist.model().predict(cal.x);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < pred.size(); ++i) hits += (pred[i] == cal.y[i]);
-    calibration_accuracy =
+    calibrated.val_accuracy =
         static_cast<double>(hits) / static_cast<double>(pred.size());
+    calibrated.samples = pred.size();
   }
+  dist.adopt_train_report(calibrated, target->num_differences());
 
   const core::RandomOracle random_oracle(target->num_differences(),
                                          target->output_bytes());
@@ -464,24 +469,10 @@ int cmd_test(const Args& args) {
       args.oracle == "random"
           ? static_cast<const core::Oracle&>(random_oracle)
           : static_cast<const core::Oracle&>(calibration);
-  core::PhaseTelemetry collect_tel;
-  core::CollectOptions copt = opt.collect_options(config.seed ^ 0x0b5e);
-  const nn::Dataset online = core::collect_dataset(
-      oracle, config.online_base_inputs, copt, &collect_tel);
-  const util::Timer predict_timer;
-  const auto pred = dist.model().predict(online.x, 512, config.threads);
-  core::PhaseTelemetry predict_tel;
-  predict_tel.seconds = predict_timer.seconds();
-  predict_tel.rows = pred.size();
-  predict_tel.threads = collect_tel.threads;
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i) hits += (pred[i] == online.y[i]);
-  const double acc =
-      static_cast<double>(hits) / static_cast<double>(pred.size());
+  const core::OnlineReport rep =
+      dist.test(oracle, config.online_base_inputs, config.seed ^ 0x0b5e);
   const double p0 = 1.0 / static_cast<double>(target->num_differences());
-  const bool looks_cipher =
-      acc > p0 + 3 * std::sqrt(p0 * (1 - p0) /
-                               static_cast<double>(pred.size()));
+  const char* verdict = core::verdict_name(rep.verdict);
 
   if (args.json) {
     util::JsonBuilder j;
@@ -490,26 +481,25 @@ int cmd_test(const Args& args) {
         .raw("config", config.to_json())
         .field("target_name", target->name())
         .field("oracle", args.oracle)
-        .field("calibration_accuracy", calibration_accuracy)
-        .field("online_accuracy", acc)
+        .field("calibration_accuracy", calibrated.val_accuracy)
+        .field("online_accuracy", rep.accuracy)
         .field("random_guess", p0)
-        .field("samples", pred.size())
-        .field("verdict", looks_cipher ? "CIPHER" : "RANDOM")
-        .raw("collect", collect_tel.to_json())
-        .raw("predict", predict_tel.to_json())
+        .field("samples", rep.samples)
+        .field("verdict", verdict)
+        .raw("collect", rep.collect.to_json())
+        .raw("predict", rep.predict.to_json())
         .raw("obs", obs::MetricsRegistry::global().snapshot().to_json())
         .field("model_path", args.model_path);
     std::printf("%s\n", j.str().c_str());
   } else {
     std::printf("calibration accuracy on fresh cipher data: %.4f\n",
-                calibration_accuracy);
+                calibrated.val_accuracy);
     std::printf("online collection: %zu queries in %.2fs (%.0f queries/s, "
                 "%zu threads)\n",
-                collect_tel.queries, collect_tel.seconds,
-                collect_tel.queries_per_sec(), collect_tel.threads);
-    std::printf("online accuracy a' = %.4f (1/t = %.4f) -> oracle looks like "
-                "%s\n",
-                acc, p0, looks_cipher ? "CIPHER" : "RANDOM");
+                rep.collect.queries, rep.collect.seconds,
+                rep.collect.queries_per_sec(), rep.collect.threads);
+    std::printf("online accuracy a' = %.4f (1/t = %.4f) -> verdict: %s\n",
+                rep.accuracy, p0, verdict);
   }
   return 0;
 }

@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
               target.name().c_str());
   util::Xoshiro256 rng(2024);
   auto model = core::build_default_mlp(128, 2, rng);
-  core::DistinguisherOptions options;
-  options.epochs = 3;
-  core::MLDistinguisher dist(std::move(model), options);
+  core::ExperimentConfig config;
+  config.epochs = 3;
+  core::MLDistinguisher dist(std::move(model), config);
   const core::TrainReport train = dist.train(target, 4000);
   std::printf("training accuracy a = %.4f\n\n", train.val_accuracy);
   if (!train.usable) {
@@ -40,21 +40,18 @@ int main(int argc, char** argv) {
   std::size_t correct = 0;
   for (std::size_t g = 0; g < games; ++g) {
     const bool is_cipher = (referee.next_u64() & 1) != 0;
+    const core::Verdict truth =
+        is_cipher ? core::Verdict::kCipher : core::Verdict::kRandom;
     const core::Oracle& oracle =
         is_cipher ? static_cast<const core::Oracle&>(cipher)
                   : static_cast<const core::Oracle&>(random);
     const core::OnlineReport rep =
         dist.test(oracle, 800, referee.next_u64() | 1);
-    const bool guess_cipher = rep.verdict == core::Verdict::kCipher;
-    const bool right = guess_cipher == is_cipher &&
-                       rep.verdict != core::Verdict::kInconclusive;
+    const bool right = rep.verdict == truth;
     correct += right;
     std::printf("game %2zu: truth=%-6s  a'=%.4f  guess=%-12s  %s\n", g + 1,
-                is_cipher ? "CIPHER" : "RANDOM", rep.accuracy,
-                rep.verdict == core::Verdict::kCipher     ? "CIPHER"
-                : rep.verdict == core::Verdict::kRandom   ? "RANDOM"
-                                                          : "INCONCLUSIVE",
-                right ? "correct" : "WRONG");
+                core::verdict_name(truth), rep.accuracy,
+                core::verdict_name(rep.verdict), right ? "correct" : "WRONG");
   }
   std::printf("\nscore: %zu / %zu\n", correct, games);
   return 0;

@@ -24,13 +24,13 @@ int main() {
                                        target.num_differences(), rng);
 
   // 3. Offline phase: collect labelled output differences and train.
-  core::DistinguisherOptions options;
-  options.epochs = 3;
-  options.on_epoch = [](const nn::EpochStats& s) {
+  core::ExperimentConfig config;
+  config.epochs = 3;
+  config.on_epoch = [](const nn::EpochStats& s) {
     std::printf("  epoch %d: train acc %.4f, val acc %.4f\n", s.epoch,
                 s.train_accuracy, s.val_accuracy.value_or(0.0));
   };
-  core::MLDistinguisher dist(std::move(model), options);
+  core::MLDistinguisher dist(std::move(model), config);
   std::printf("offline phase (training)...\n");
   const core::TrainReport train = dist.train(target, /*base_inputs=*/4000);
   std::printf("training accuracy a = %.4f (baseline 1/t = 0.5) -> %s\n\n",
@@ -38,18 +38,17 @@ int main() {
               train.usable ? "proceed to online phase" : "abort");
   if (!train.usable) return 1;
 
-  // 4. Online phase: query an unknown oracle and decide CIPHER vs RANDOM.
+  // 4. Online phase: query an unknown oracle and decide cipher, random or
+  //    (when the game is underpowered) inconclusive.
   const core::CipherOracle cipher_oracle(target);
   const core::OnlineReport r1 = dist.test(cipher_oracle, 1000);
   std::printf("oracle #1: a' = %.4f, z = %.1f -> %s\n", r1.accuracy,
-              r1.z_vs_random,
-              r1.verdict == core::Verdict::kCipher ? "CIPHER" : "RANDOM");
+              r1.z_vs_random, core::verdict_name(r1.verdict));
 
   const core::RandomOracle random_oracle(target.num_differences(),
                                          target.output_bytes());
   const core::OnlineReport r2 = dist.test(random_oracle, 1000);
   std::printf("oracle #2: a' = %.4f, z = %.1f -> %s\n", r2.accuracy,
-              r2.z_vs_random,
-              r2.verdict == core::Verdict::kCipher ? "CIPHER" : "RANDOM");
+              r2.z_vs_random, core::verdict_name(r2.verdict));
   return 0;
 }

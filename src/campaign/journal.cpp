@@ -40,9 +40,8 @@ JournalState replay_journal(const std::string& path) {
     if (event == nullptr) continue;
     if (*event == "start") {
       state.saw_start = true;
-      if (const std::string* grid = string_member(record, "grid")) {
-        state.grid_crc = *grid;
-      }
+      const std::string* grid = string_member(record, "grid");
+      state.grid_crc = grid != nullptr ? *grid : "";
       continue;
     }
     const std::string* cell = string_member(record, "cell");

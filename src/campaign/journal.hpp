@@ -48,8 +48,9 @@ struct JournalState {
   std::map<std::string, std::string> trained;
   bool saw_start = false;
   /// The expanded grid's fingerprint from the latest "start" record (see
-  /// campaign::grid_crc).  Empty for journals written before the field
-  /// existed — those resume without the spec-change check.
+  /// campaign::grid_crc); empty when that record has none.  A resume is
+  /// refused unless it equals the spec's fingerprint, so a journal whose
+  /// start record lacks the field never resumes.
   std::string grid_crc;
 };
 

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
+#include <system_error>
 
 #include "util/crc32.hpp"
 #include "util/json.hpp"
@@ -38,19 +41,21 @@ bool parse_f64(const std::string& s, double& out) {
   return end != nullptr && *end == '\0';
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 0);
-  return end != nullptr && *end == '\0';
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  return util::json::parse_u64(s, out) == std::errc();
 }
 
-bool parse_i32(const std::string& s, int& out) {
-  std::uint64_t v = 0;
-  const bool neg = !s.empty() && s[0] == '-';
-  if (!parse_u64(neg ? s.substr(1) : s, v)) return false;
-  out = static_cast<int>(v);
-  if (neg) out = -out;
+/// An int as std::to_string renders it: an optional '-', then parse_u64
+/// digits, within int's range.
+bool parse_i32(std::string_view s, int& out) {
+  const bool neg = !s.empty() && s.front() == '-';
+  std::uint64_t magnitude = 0;
+  if (!parse_u64(s.substr(neg ? 1 : 0), magnitude)) return false;
+  const std::uint64_t limit =
+      std::uint64_t{std::numeric_limits<int>::max()} + (neg ? 1 : 0);
+  if (magnitude > limit) return false;
+  const auto v = static_cast<std::int64_t>(magnitude);
+  out = static_cast<int>(neg ? -v : v);
   return true;
 }
 
@@ -225,7 +230,11 @@ bool decode_config(const std::string& text, core::ExperimentConfig& out) {
     std::size_t start = 0;
     for (std::size_t i = 0; i <= f[3].size(); ++i) {
       if (i == f[3].size() || f[3][i] == ',') {
-        if (!parse_u64(f[3].substr(start, i - start), u)) return false;
+        if (util::json::parse_u64_or_hex(
+                std::string_view(f[3]).substr(start, i - start), u) !=
+            std::errc()) {
+          return false;
+        }
         c.diffs.push_back(u);
         start = i + 1;
       }
@@ -272,13 +281,12 @@ std::string encode_train_result(const CellTrainResult& r) {
   add(std::to_string(r.report.robustness.divergences));
   add(std::to_string(r.report.robustness.rollbacks));
   add(std::to_string(r.t));
-  add(hexf(r.best_val));
   return out;
 }
 
 bool decode_train_result(const std::string& text, CellTrainResult& out) {
   const std::vector<std::string> f = split_fields(text);
-  if (f.size() != 11) return false;
+  if (f.size() != 10) return false;
   CellTrainResult r;
   std::uint64_t u = 0;
   if (!parse_f64(f[0], r.report.train_accuracy)) return false;
@@ -294,18 +302,8 @@ bool decode_train_result(const std::string& text, CellTrainResult& out) {
   if (!parse_i32(f[8], r.report.robustness.rollbacks)) return false;
   if (!parse_u64(f[9], u)) return false;
   r.t = static_cast<std::size_t>(u);
-  if (!parse_f64(f[10], r.best_val)) return false;
   out = std::move(r);
   return true;
-}
-
-const char* verdict_name(core::Verdict verdict) {
-  switch (verdict) {
-    case core::Verdict::kCipher: return "cipher";
-    case core::Verdict::kRandom: return "random";
-    case core::Verdict::kInconclusive: return "inconclusive";
-  }
-  return "unknown";
 }
 
 std::string cell_payload_json(const Cell& cell,
@@ -334,7 +332,7 @@ std::string cell_payload_json(const Cell& cell,
         .field("samples", online->samples)
         .field("log2_data", online->log2_data)
         .field("z_vs_random", online->z_vs_random)
-        .field("verdict", verdict_name(online->verdict));
+        .field("verdict", core::verdict_name(online->verdict));
     j.raw("online", o.str());
   } else {
     j.raw("online", "null");

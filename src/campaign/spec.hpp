@@ -103,7 +103,9 @@ std::string grid_crc(const std::vector<Cell>& cells);
 double cell_cost(const core::ExperimentConfig& config);
 
 /// ExperimentConfig <-> 0x1f-separated record with hex-float reals.
-/// decode returns false (leaving `out` unspecified) on a malformed record.
+/// Integers go through util::json::parse_u64 (diff masks: parse_u64_or_hex;
+/// signed fields take one leading '-' and must fit an int).  decode returns
+/// false (leaving `out` unspecified) on a malformed record.
 std::string encode_config(const core::ExperimentConfig& config);
 bool decode_config(const std::string& text, core::ExperimentConfig& out);
 
@@ -113,9 +115,11 @@ bool decode_config(const std::string& text, core::ExperimentConfig& out);
 struct CellTrainResult {
   core::TrainReport report;  ///< telemetry/timing fields are not carried
   std::size_t t = 0;         ///< class count the report was produced with
-  double best_val = 0.0;     ///< checkpoint manager's recorded best
 };
 
+/// CellTrainResult <-> 0x1f-separated record (10 fields).  decode returns
+/// false on a malformed record, a record of another field count included;
+/// the worker then retrains the cell, which is deterministic.
 std::string encode_train_result(const CellTrainResult& result);
 bool decode_train_result(const std::string& text, CellTrainResult& out);
 
@@ -132,7 +136,5 @@ std::string cell_payload_json(const Cell& cell,
 /// execution of the cell.
 std::string cell_telemetry_json(const core::TrainReport& train,
                                 const core::OnlineReport* online);
-
-const char* verdict_name(core::Verdict verdict);
 
 }  // namespace mldist::campaign

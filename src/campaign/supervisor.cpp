@@ -28,6 +28,7 @@
 #include "obs/signal.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_merge.hpp"
+#include "util/json.hpp"
 #include "util/process.hpp"
 
 namespace mldist::campaign {
@@ -391,12 +392,12 @@ void Runner::load_prior_state() {
   const JournalState prior = replay_journal(journal_path());
   // Spec-change guard: an edit that alters the expanded grid invalidates the
   // journal's by-id bookkeeping (ids could collide with different configs).
-  // Old journals without the field resume unchecked, as before.
-  if (prior.saw_start && !prior.grid_crc.empty() &&
-      prior.grid_crc != grid_crc_) {
+  // A start record without the fingerprint cannot prove its grid either.
+  if (prior.saw_start && prior.grid_crc != grid_crc_) {
     throw std::invalid_argument(
         "campaign: the spec's expanded grid (crc " + grid_crc_ +
-        ") does not match the existing journal (crc " + prior.grid_crc +
+        ") does not match the existing journal (crc " +
+        (prior.grid_crc.empty() ? "missing" : prior.grid_crc) +
         "); resume with the original spec or point state_dir at a fresh "
         "directory");
   }
@@ -706,8 +707,9 @@ void Runner::handle_status_line(WorkerSlot& w, const std::string& line,
     return;
   }
   std::uint64_t index = 0;
-  if (f.size() < 2) return;
-  index = std::strtoull(f[1].c_str(), nullptr, 10);
+  if (f.size() < 2 || util::json::parse_u64(f[1], index) != std::errc()) {
+    return;
+  }
   CellState* cs = cell_by_index(index);
   if (cs == nullptr) return;
   if (f[0] == "HB") {

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,7 +59,6 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
     config.on_epoch = [&](const nn::EpochStats& s) { hb("fit", s.epoch); };
     const std::unique_ptr<core::Target> target = config.make_target();
 
-    core::DistinguisherOptions options(config);
     std::unique_ptr<core::MLDistinguisher> dist;
     core::TrainReport train;
     bool resumed = false;
@@ -74,9 +74,8 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
       if (decode_train_result(hooks.resume_train_tsv, recorded) &&
           recorded.t == target->num_differences()) {
         hb("resume", 0);
-        auto model = config.make_model(*target);
         auto candidate =
-            std::make_unique<core::MLDistinguisher>(std::move(model), options);
+            std::make_unique<core::MLDistinguisher>(*target, config);
         try {
           nn::load_params(candidate->model(), hooks.snapshot_path);
           candidate->adopt_train_report(recorded.report, recorded.t);
@@ -97,8 +96,7 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
 
     if (!resumed) {
       hb("train", 0);
-      dist = std::make_unique<core::MLDistinguisher>(
-          config.make_model(*target), options);
+      dist = std::make_unique<core::MLDistinguisher>(*target, config);
       train = dist->train(*target, config.offline_base_inputs);
       if (dist->degraded()) {
         // Retries inside train() are exhausted; surface the divergence to
@@ -126,7 +124,6 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
         CellTrainResult result;
         result.report = train;
         result.t = target->num_differences();
-        result.best_val = train.val_accuracy;
         hooks.on_trained(result);
       }
     }
@@ -251,15 +248,12 @@ std::vector<std::string> split_tabs(const std::string& line) {
 }  // namespace
 
 int worker_entry(int argc, char** argv) {
-  if (argc < 4 || std::strcmp(argv[1], kWorkerFlag) != 0) return -1;
+  if (argc != 6 || std::strcmp(argv[1], kWorkerFlag) != 0) return -1;
+  // <cmd_fd> <status_fd> <ship telemetry 0|1> <trace directory or "-">
   const int cmd_fd = std::atoi(argv[2]);
   const int status_fd = std::atoi(argv[3]);
-  // Optional trailing argv (absent when an old-style 4-arg worker is
-  // spawned): [4] telemetry shipping on/off, [5] trace directory or "-".
-  const bool ship_telemetry =
-      argc < 5 || std::strcmp(argv[4], "0") != 0;
-  const std::string trace_dir =
-      argc >= 6 && std::strcmp(argv[5], "-") != 0 ? argv[5] : "";
+  const bool ship_telemetry = std::strcmp(argv[4], "0") != 0;
+  const std::string trace_dir = std::strcmp(argv[5], "-") != 0 ? argv[5] : "";
   // Immediate mode: a SIGTERM'd worker stamps "interrupted", drains the
   // logger ring and dies with the conventional signal wait status (which is
   // exactly what the supervisor's reclaim logic keys on).
@@ -306,14 +300,19 @@ int worker_entry(int argc, char** argv) {
   while (read_line(cmd_fd, buf, line)) {
     if (line == "QUIT") break;
     const std::vector<std::string> f = split_tabs(line);
+    std::uint64_t index = 0;
+    std::uint64_t attempt_no = 0;
     // CELL <index> <attempt> <config-record> <resume-record|-> <snapshot|->
-    if (f.size() != 6 || f[0] != "CELL") {
+    if (f.size() != 6 || f[0] != "CELL" ||
+        util::json::parse_u64(f[1], index) != std::errc() ||
+        util::json::parse_u64(f[2], attempt_no) != std::errc() ||
+        attempt_no > INT_MAX) {
       obs::log_warn("campaign.worker", "malformed command").field("line", line);
       continue;
     }
     Cell cell;
-    cell.index = static_cast<std::size_t>(std::strtoull(f[1].c_str(), nullptr, 10));
-    const int attempt = std::atoi(f[2].c_str());
+    cell.index = static_cast<std::size_t>(index);
+    const int attempt = static_cast<int>(attempt_no);
     if (!decode_config(f[3], cell.config)) {
       send("FAIL\t" + f[1] + "\terror\tundecodable cell config");
       continue;

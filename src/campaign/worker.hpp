@@ -69,7 +69,8 @@ struct CellOutcome {
 CellOutcome run_cell(const Cell& cell, const CellHooks& hooks);
 
 /// Worker-mode hook for main(): returns -1 when argv is not a worker
-/// invocation ("<exe> --mldist-campaign-worker <cmd_fd> <status_fd>"),
+/// invocation ("<exe> --mldist-campaign-worker <cmd_fd> <status_fd>
+/// <ship 0|1> <trace_dir|->", exactly as the Supervisor spawns it),
 /// otherwise runs the worker loop and returns the process exit code.
 int worker_entry(int argc, char** argv);
 

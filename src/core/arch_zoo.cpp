@@ -119,6 +119,12 @@ std::unique_ptr<nn::Sequential> build_architecture(const std::string& name,
                                                    std::size_t input_bits,
                                                    std::size_t classes,
                                                    util::Xoshiro256& rng) {
+  if (name == "default-mlp") {
+    return build_default_mlp(input_bits, classes, rng);
+  }
+  if (name.rfind("gohr-net/", 0) == 0) {
+    return build_gohr_net(input_bits, classes, gohr_net_depth(name), rng);
+  }
   if (name == "MLP I") {
     return mlp({128, 296, 258, 207, 112, 160}, Act::kRelu, input_bits, classes,
                rng);

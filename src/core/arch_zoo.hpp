@@ -37,7 +37,10 @@ struct ArchInfo {
 const std::vector<ArchInfo>& table3_architectures();
 
 /// Instantiate the named architecture for `input_bits` features and
-/// `classes` outputs.  Throws std::invalid_argument for unknown names.
+/// `classes` outputs: "default-mlp", "gohr-net/D" or a Table-3 name.  The
+/// one name dispatcher: ExperimentConfig::make_model and core::load_model
+/// both build through it.  Throws std::invalid_argument for unknown names
+/// and malformed depths.
 std::unique_ptr<nn::Sequential> build_architecture(const std::string& name,
                                                    std::size_t input_bits,
                                                    std::size_t classes,
@@ -62,10 +65,9 @@ std::unique_ptr<nn::Sequential> build_gohr_net(std::size_t input_bits,
 /// Parse and validate the depth of a "gohr-net/D" architecture name.
 /// D must be a plain decimal in [1, 64] with nothing following it; throws
 /// std::invalid_argument (the CLI's typed config-error path, exit 2)
-/// naming the offending string otherwise.  Both model construction
-/// (ExperimentConfig::make_model) and model-file loading (core/model_io)
-/// go through this, so "gohr-net/d=x" surfaces as a descriptive config
-/// error instead of an uncaught std::stoul exception.
+/// naming the offending string otherwise.  build_architecture goes through
+/// this, so "gohr-net/d=x" surfaces as a descriptive config error instead
+/// of an uncaught std::stoul exception.
 std::size_t gohr_net_depth(const std::string& arch);
 
 }  // namespace mldist::core

@@ -8,11 +8,12 @@
 // format's CRC-32 footer (util/crc32) makes a torn or bit-rotted checkpoint
 // detectable at restore time.
 //
-// RetryPolicy is the companion knob set consumed by MLDistinguisher::train:
-// on nn::TrainingDiverged it restores the checkpoint, multiplies the
-// learning rate by `lr_backoff`, draws a fresh shuffle stream, and
-// tries again up to `max_attempts` times before degrading to the linear
-// baseline classifier.
+// MLDistinguisher::train drives it from its ExperimentConfig: on
+// nn::TrainingDiverged it restores the checkpoint, multiplies the learning
+// rate by `lr_backoff`, draws a fresh shuffle stream, and tries again up to
+// `max_retries` attempts in all before degrading to the linear baseline
+// classifier.  `checkpoint_path` names the file (empty = an auto-generated
+// path under the system temp directory, removed after training).
 #pragma once
 
 #include <string>
@@ -20,14 +21,6 @@
 #include "nn/model.hpp"
 
 namespace mldist::core {
-
-struct RetryPolicy {
-  int max_attempts = 3;   ///< fit attempts before degrading to the baseline
-  float lr_backoff = 0.5f;  ///< learning-rate factor applied per retry
-  /// Checkpoint file; empty = an auto-generated path under the system temp
-  /// directory, removed after training.
-  std::string checkpoint_path;
-};
 
 class CheckpointManager {
  public:

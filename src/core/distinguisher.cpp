@@ -7,8 +7,10 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/checkpoint.hpp"
 #include "core/linear_baseline.hpp"
 #include "core/targets.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -43,6 +45,13 @@ std::string auto_checkpoint_path(std::uint64_t seed) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// The data-engine options for a phase whose chunk streams are keyed on
+/// `stream_seed`.
+CollectOptions collect_options(const ExperimentConfig& config,
+                               std::uint64_t stream_seed) {
+  return {.seed = stream_seed, .threads = config.threads};
+}
+
 /// The training fault injector: set one weight to NaN so the next forward
 /// pass produces a non-finite loss for the health guard to catch.
 void poison_first_weight(nn::Sequential& model) {
@@ -53,53 +62,15 @@ void poison_first_weight(nn::Sequential& model) {
 }
 }  // namespace
 
-DistinguisherOptions::DistinguisherOptions(const ExperimentConfig& config)
-    : epochs(config.epochs),
-      batch_size(config.batch_size),
-      learning_rate(config.learning_rate),
-      validation_fraction(config.validation_fraction),
-      z_threshold(config.z_threshold),
-      seed(config.seed),
-      threads(config.threads),
-      on_epoch(config.on_epoch) {
-  retry.max_attempts = config.max_retries;
-  retry.lr_backoff = config.lr_backoff;
-  retry.checkpoint_path = config.checkpoint_path;
-}
-
-CollectOptions DistinguisherOptions::collect_options(
-    std::uint64_t stream_seed) const {
-  CollectOptions c;
-  c.seed = stream_seed;
-  c.threads = threads;
-  return c;
-}
-
-nn::FitOptions DistinguisherOptions::fit_options(
-    std::uint64_t shuffle_seed, const nn::Dataset* validation) const {
-  nn::FitOptions fit;
-  fit.epochs = epochs;
-  fit.batch_size = batch_size;
-  fit.shuffle_seed = shuffle_seed;
-  fit.validation = validation;
-  if (on_epoch) {
-    // Forward by reference: the closure state lives once, in this options
-    // struct, not duplicated into every FitOptions built from it.
-    fit.on_epoch = [cb = &on_epoch](const nn::EpochStats& s) { (*cb)(s); };
-  }
-  return fit;
-}
-
 MLDistinguisher::MLDistinguisher(std::unique_ptr<nn::Sequential> model,
-                                 DistinguisherOptions options)
-    : model_(std::move(model)), options_(std::move(options)) {
+                                 ExperimentConfig config)
+    : model_(std::move(model)), config_(std::move(config)) {
   if (!model_) throw std::invalid_argument("MLDistinguisher: null model");
 }
 
 MLDistinguisher::MLDistinguisher(const Target& target,
                                  const ExperimentConfig& config)
-    : MLDistinguisher(config.make_model(target),
-                      DistinguisherOptions(config)) {}
+    : MLDistinguisher(config.make_model(target), config) {}
 
 MLDistinguisher::~MLDistinguisher() = default;
 
@@ -113,7 +84,7 @@ TrainReport MLDistinguisher::train(const Target& target,
 
   const std::size_t val_base = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(base_inputs) *
-                                  options_.validation_fraction));
+                                  config_.validation_fraction));
   const std::size_t train_base =
       base_inputs > val_base ? base_inputs - val_base : 1;
 
@@ -127,13 +98,13 @@ TrainReport MLDistinguisher::train(const Target& target,
   PhaseTelemetry val_tel;
   const nn::Dataset train_set = collect_dataset(
       target, train_base,
-      options_.collect_options(
-          util::derive_stream_seed(options_.seed, kOfflineTrainStream)),
+      collect_options(config_, util::derive_stream_seed(config_.seed,
+                                                        kOfflineTrainStream)),
       &collect_tel);
   const nn::Dataset val_set = collect_dataset(
       target, val_base,
-      options_.collect_options(
-          util::derive_stream_seed(options_.seed, kOfflineValStream)),
+      collect_options(config_, util::derive_stream_seed(config_.seed,
+                                                        kOfflineValStream)),
       &val_tel);
   collect_tel.seconds += val_tel.seconds;
   collect_tel.queries += val_tel.queries;
@@ -142,14 +113,14 @@ TrainReport MLDistinguisher::train(const Target& target,
   // Fault-tolerant fit: every attempt checkpoints its best-validation
   // epoch; a divergence rolls back to that checkpoint and retries with a
   // backed-off learning rate and a fresh shuffle stream.
-  const bool auto_ckpt = options_.retry.checkpoint_path.empty();
-  CheckpointManager ckpt(auto_ckpt ? auto_checkpoint_path(options_.seed)
-                                   : options_.retry.checkpoint_path);
+  const bool auto_ckpt = config_.checkpoint_path.empty();
+  CheckpointManager ckpt(auto_ckpt ? auto_checkpoint_path(config_.seed)
+                                   : config_.checkpoint_path);
   RobustnessTelemetry rob;
-  const int max_attempts = std::max(1, options_.retry.max_attempts);
+  const int max_attempts = std::max(1, config_.max_retries);
   nn::EpochStats stats;
   bool trained = false;
-  float lr = options_.learning_rate;
+  float lr = config_.learning_rate;
   status.set_phase("fit");
   const util::Timer fit_timer;
   for (int attempt = 1; attempt <= max_attempts && !trained; ++attempt) {
@@ -157,25 +128,26 @@ TrainReport MLDistinguisher::train(const Target& target,
     attempt_span.arg("attempt", attempt);
     rob.attempts = attempt;
     nn::Adam opt(lr);
-    nn::HealthMonitor monitor(options_.health);
+    nn::HealthMonitor monitor;
+    nn::FitOptions fit;
+    fit.epochs = config_.epochs;
+    fit.batch_size = config_.batch_size;
     // Attempt 1 uses the pre-robustness shuffle stream, so clean runs stay
     // bitwise identical to earlier versions; retries draw fresh streams.
-    const std::uint64_t shuffle_stream =
-        kShuffleStream + static_cast<std::uint64_t>(attempt - 1);
-    nn::FitOptions fit = options_.fit_options(
-        util::derive_stream_seed(options_.seed, shuffle_stream), &val_set);
-    if (options_.health_checks) fit.health = &monitor;
-    const auto forward_cb = fit.on_epoch;
+    fit.shuffle_seed = util::derive_stream_seed(
+        config_.seed, kShuffleStream + static_cast<std::uint64_t>(attempt - 1));
+    fit.validation = &val_set;
+    if (config_.health_checks) fit.health = &monitor;
     fit.on_epoch = [&, attempt](const nn::EpochStats& s) {
       obs::RunStatus::global().set_epoch(s.epoch);
-      if (forward_cb) forward_cb(s);
+      if (config_.on_epoch) config_.on_epoch(s);
       if (s.val_accuracy) ckpt.update(*model_, *s.val_accuracy);
       // Injected training fault (tests / soak bench): poison a weight
       // after the checkpoint so the next epoch diverges and the rollback
       // restores this epoch's healthy state.
-      if (options_.faults.poison_weight_epoch > 0 &&
-          attempt <= options_.faults.poison_max_attempts &&
-          s.epoch == options_.faults.poison_weight_epoch) {
+      if (config_.faults.poison_weight_epoch > 0 &&
+          attempt <= config_.faults.poison_max_attempts &&
+          s.epoch == config_.faults.poison_weight_epoch) {
         poison_first_weight(*model_);
       }
     };
@@ -190,7 +162,7 @@ TrainReport MLDistinguisher::train(const Target& target,
         ckpt.restore(*model_);
         ++rob.rollbacks;
       }
-      lr *= options_.retry.lr_backoff;
+      lr *= config_.lr_backoff;
     }
   }
 
@@ -205,8 +177,8 @@ TrainReport MLDistinguisher::train(const Target& target,
     rob.degraded_to_baseline = true;
     baseline_ = std::make_unique<LinearSvm>(train_set.x.cols(), t_);
     LinearSvmOptions sopt;
-    sopt.epochs = std::max(1, options_.epochs);
-    sopt.seed = util::derive_stream_seed(options_.seed, kBaselineStream);
+    sopt.epochs = std::max(1, config_.epochs);
+    sopt.seed = util::derive_stream_seed(config_.seed, kBaselineStream);
     train_report_.train_accuracy = baseline_->fit(train_set, sopt);
     train_report_.val_accuracy = baseline_->accuracy(val_set);
     train_report_.train_loss = 0.0;
@@ -216,11 +188,11 @@ TrainReport MLDistinguisher::train(const Target& target,
   train_report_.collect = collect_tel;
   train_report_.fit.seconds = fit_timer.seconds();
   train_report_.fit.rows =
-      train_set.size() * static_cast<std::size_t>(std::max(0, options_.epochs));
+      train_set.size() * static_cast<std::size_t>(std::max(0, config_.epochs));
   train_report_.fit.threads = util::ThreadPool::global().thread_count();
   train_report_.seconds_per_epoch =
-      options_.epochs > 0
-          ? train_report_.fit.seconds / static_cast<double>(options_.epochs)
+      config_.epochs > 0
+          ? train_report_.fit.seconds / static_cast<double>(config_.epochs)
           : 0.0;
   // Each base input costs t+1 oracle queries (the base and its t partners).
   train_report_.log2_data =
@@ -232,7 +204,7 @@ TrainReport MLDistinguisher::train(const Target& target,
       static_cast<std::size_t>(std::lround(train_report_.val_accuracy *
                                            static_cast<double>(val_rows))),
       val_rows, util::random_guess_accuracy(t_));
-  train_report_.usable = z > options_.z_threshold;
+  train_report_.usable = z > config_.z_threshold;
   if (auto_ckpt) ckpt.remove_file();
   // Re-emit the report's telemetry as registry views (DESIGN.md §10): the
   // JSON built from the structs is unchanged; the metrics snapshot becomes
@@ -254,14 +226,14 @@ OnlineReport MLDistinguisher::test(const Oracle& oracle,
     throw std::invalid_argument("MLDistinguisher: oracle t mismatch");
   }
   const std::uint64_t stream =
-      seed != 0 ? seed : (options_.seed ^ 0x0417e57ULL);
+      seed != 0 ? seed : (config_.seed ^ 0x0417e57ULL);
 
   obs::Span test_span("test", "core");
   test_span.arg("base_inputs", static_cast<std::uint64_t>(base_inputs));
   obs::RunStatus::global().set_phase("online_collect");
   OnlineReport rep;
   const nn::Dataset online = collect_dataset(
-      oracle, base_inputs, options_.collect_options(stream), &rep.collect);
+      oracle, base_inputs, collect_options(config_, stream), &rep.collect);
 
   obs::RunStatus::global().set_phase("predict");
   const util::Timer predict_timer;
@@ -270,7 +242,7 @@ OnlineReport MLDistinguisher::test(const Oracle& oracle,
   const std::vector<int> pred =
       baseline_ != nullptr
           ? baseline_->predict(online.x)
-          : model_->predict(online.x, /*batch_size=*/512, options_.threads);
+          : model_->predict(online.x, /*batch_size=*/512, config_.threads);
   rep.predict.seconds = predict_timer.seconds();
   rep.predict.rows = pred.size();
   rep.predict.threads = rep.collect.threads;
@@ -301,7 +273,7 @@ Verdict MLDistinguisher::decide(double online_accuracy,
   // When the training advantage a - 1/t is resolvable at this online
   // sample size, the midpoint between the two hypotheses is the
   // maximum-likelihood threshold.
-  if (se > 0.0 && (a - p0) > options_.z_threshold * se) {
+  if (se > 0.0 && (a - p0) > config_.z_threshold * se) {
     return online_accuracy > p0 + 0.5 * (a - p0) ? Verdict::kCipher
                                                  : Verdict::kRandom;
   }
@@ -310,8 +282,17 @@ Verdict MLDistinguisher::decide(double online_accuracy,
   const std::size_t hits = static_cast<std::size_t>(
       std::lround(online_accuracy * static_cast<double>(online_samples)));
   const double z_random = util::binomial_z_score(hits, online_samples, p0);
-  if (z_random > options_.z_threshold) return Verdict::kCipher;
+  if (z_random > config_.z_threshold) return Verdict::kCipher;
   return Verdict::kInconclusive;
+}
+
+const char* verdict_name(Verdict verdict) {
+  switch (verdict) {
+    case Verdict::kCipher: return "cipher";
+    case Verdict::kRandom: return "random";
+    case Verdict::kInconclusive: return "inconclusive";
+  }
+  return "unknown";
 }
 
 void MLDistinguisher::adopt_train_report(const TrainReport& report,

@@ -18,20 +18,21 @@
 #include <memory>
 #include <optional>
 
-#include "core/checkpoint.hpp"
 #include "core/dataset.hpp"
 #include "core/experiment.hpp"
 #include "core/oracle.hpp"
 #include "core/telemetry.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
-#include "util/fault.hpp"
 
 namespace mldist::core {
 
 class LinearSvm;
 
 enum class Verdict { kCipher, kRandom, kInconclusive };
+
+/// "cipher", "random" or "inconclusive": the one spelling of a verdict in
+/// every artifact (campaign payloads, history lines, bench JSON, CLI).
+const char* verdict_name(Verdict verdict);
 
 struct TrainReport {
   double train_accuracy = 0.0;  ///< a, on the training split
@@ -56,52 +57,16 @@ struct OnlineReport {
   PhaseTelemetry predict;    ///< batched model scoring
 };
 
-struct DistinguisherOptions {
-  int epochs = 5;
-  std::size_t batch_size = 128;
-  float learning_rate = 1e-3f;
-  double validation_fraction = 0.1;  ///< held out from the offline data
-  double z_threshold = 3.0;          ///< significance for all decisions
-  std::uint64_t seed = 0x600d5eedULL;
-  std::size_t threads = 0;           ///< pool worker cap: 0 = all, 1 = serial
-  std::function<void(const nn::EpochStats&)> on_epoch;
-
-  // --- robustness (ISSUE 2) ----------------------------------------------
-  /// Divergence handling: rollback to the best checkpoint, back off the
-  /// learning rate, retry; degrade to the linear baseline when exhausted.
-  RetryPolicy retry;
-  /// Thresholds of the fit-time numeric-health guard.
-  nn::HealthOptions health;
-  /// Master switch for the guard (off = the pre-robustness fit behaviour).
-  bool health_checks = true;
-  /// Injected faults, used by tests and the robustness soak bench to force
-  /// the recovery paths deterministically.  Off by default.
-  util::FaultConfig faults;
-
-  DistinguisherOptions() = default;
-  /// Thin projection of the unified config (see core/experiment.hpp).
-  explicit DistinguisherOptions(const ExperimentConfig& config);
-
-  /// The data-engine options for a phase whose chunk streams are keyed on
-  /// `stream_seed`.
-  CollectOptions collect_options(std::uint64_t stream_seed) const;
-
-  /// The nn-level training options, derived from this single source of
-  /// truth (instead of copying epochs/batch/seed field by field at every
-  /// call site).  The on_epoch callback is forwarded by reference — `this`
-  /// must outlive the fit call.
-  nn::FitOptions fit_options(std::uint64_t shuffle_seed,
-                             const nn::Dataset* validation) const;
-};
-
 /// Owns the model and the Algorithm 2 phases for one target.
 class MLDistinguisher {
  public:
-  /// `model` must map output_bytes*8 features to t logits.
+  /// `model` must map output_bytes*8 features to t logits.  Everything
+  /// else (training, the decision threshold, retries, injected faults) is
+  /// read from `config`, which the distinguisher keeps.
   MLDistinguisher(std::unique_ptr<nn::Sequential> model,
-                  DistinguisherOptions options = {});
+                  ExperimentConfig config = {});
 
-  /// Convenience: build model and options from one ExperimentConfig.
+  /// Build the model with config.make_model(target).
   MLDistinguisher(const Target& target, const ExperimentConfig& config);
 
   ~MLDistinguisher();
@@ -109,7 +74,8 @@ class MLDistinguisher {
   /// Offline phase: collect `base_inputs` queries from the cipher, train.
   /// Fault-tolerant: divergences detected by the numeric-health guard roll
   /// the model back to the best checkpoint and retry with a backed-off
-  /// learning rate (options.retry); when all attempts fail the
+  /// learning rate (config max_retries, lr_backoff, checkpoint_path); when
+  /// all attempts fail the
   /// distinguisher degrades to the linear baseline classifier and the
   /// report's robustness telemetry records the degradation.
   TrainReport train(const Target& target, std::size_t base_inputs);
@@ -123,12 +89,13 @@ class MLDistinguisher {
   /// Decision rule given the recorded training accuracy.
   Verdict decide(double online_accuracy, std::size_t online_samples) const;
 
-  /// Campaign snapshot-resume path: install a previously recorded train
-  /// report (and the class count `t` it was produced with) without running
-  /// train().  The caller is responsible for restoring the matching model
-  /// parameters (core::CheckpointManager snapshot) first; test()/decide()
-  /// then behave exactly as if this process had trained the model itself.
-  /// Clears any degraded-baseline state.
+  /// Install a train report recorded elsewhere (and the class count `t` it
+  /// was produced with) without running train(): the campaign's
+  /// snapshot-resume path, and mldist_cli test's calibration of a loaded
+  /// model.  The caller is responsible for loading the matching model
+  /// parameters first; test()/decide() then behave exactly as if this
+  /// process had trained the model itself.  Clears any degraded-baseline
+  /// state.
   void adopt_train_report(const TrainReport& report, std::size_t t);
 
   nn::Sequential& model() { return *model_; }
@@ -139,7 +106,7 @@ class MLDistinguisher {
 
  private:
   std::unique_ptr<nn::Sequential> model_;
-  DistinguisherOptions options_;
+  ExperimentConfig config_;
   TrainReport train_report_;
   std::size_t t_ = 0;
   std::unique_ptr<LinearSvm> baseline_;  ///< set when degraded

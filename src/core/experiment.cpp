@@ -97,14 +97,6 @@ std::unique_ptr<nn::Sequential> ExperimentConfig::make_model(
   const std::size_t input_bits = t.output_bytes() * 8;
   const std::size_t classes = t.num_differences();
   util::Xoshiro256 rng(seed);
-  if (arch == "default-mlp") {
-    return build_default_mlp(input_bits, classes, rng);
-  }
-  if (arch.rfind("gohr-net/", 0) == 0) {
-    // Validated parse: "gohr-net/d=x" must surface as a config error, not
-    // an uncaught std::stoul exception (exit 3 instead of exit 2).
-    return build_gohr_net(input_bits, classes, gohr_net_depth(arch), rng);
-  }
   return build_architecture(arch, input_bits, classes, rng);
 }
 

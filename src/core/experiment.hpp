@@ -2,11 +2,10 @@
 //
 // Every knob an experiment needs — the target primitive, the architecture
 // (by arch_zoo name), the training hyper-parameters, the sample budgets of
-// the offline/online phases, the seed and the worker count — lives here
-// once.  MLDistinguisher, play_games, the benches and mldist_cli all
-// consume this record instead of each growing its own ad-hoc option struct;
-// DistinguisherOptions keeps a thin constructor from it so existing call
-// sites keep compiling.
+// the offline/online phases, the seed, the worker count and the retry
+// policy — lives here once.  MLDistinguisher keeps the record it is built
+// from and reads every knob from it; play_games, the campaign cells, the
+// benches and mldist_cli all build this record and nothing else.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "nn/model.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace mldist::core {
@@ -56,8 +56,17 @@ struct ExperimentConfig {
   int max_retries = 3;       ///< fit attempts before degrading to the baseline
   float lr_backoff = 0.5f;   ///< learning-rate factor applied per retry
   std::string checkpoint_path;  ///< empty = auto temp file, removed after train
+  /// The fit-time numeric-health guard (nn::HealthMonitor at its default
+  /// thresholds); off = the pre-robustness fit behaviour.
+  bool health_checks = true;
+  /// Injected faults (MLDistinguisher::train acts on the weight poison),
+  /// set only by the robustness tests and the soak bench to force the
+  /// recovery paths deterministically.  Off by default.  Neither this nor
+  /// health_checks is rendered by to_json() or carried by the campaign wire
+  /// codec, so cell ids never depend on them.
+  util::FaultConfig faults;
 
-  /// Epoch progress callback, forwarded (not copied) into training.
+  /// Epoch progress callback, called after every training epoch.
   std::function<void(const nn::EpochStats&)> on_epoch;
 
   /// Instantiate the configured target.  Throws std::invalid_argument for

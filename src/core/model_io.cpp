@@ -11,23 +11,6 @@ namespace mldist::core {
 
 namespace {
 constexpr const char* kHeaderMagic = "MLDM1";
-
-std::unique_ptr<nn::Sequential> build_named(const std::string& arch,
-                                            std::size_t input_bits,
-                                            std::size_t classes) {
-  // The weights will be overwritten; the init RNG seed is irrelevant.
-  util::Xoshiro256 rng(1);
-  if (arch == "default-mlp") {
-    return build_default_mlp(input_bits, classes, rng);
-  }
-  if (arch.rfind("gohr-net/", 0) == 0) {
-    // Validated parse (core::gohr_net_depth): a malformed depth in a model
-    // header is reported as a descriptive config error, not as an uncaught
-    // std::stoul exception.
-    return build_gohr_net(input_bits, classes, gohr_net_depth(arch), rng);
-  }
-  return build_architecture(arch, input_bits, classes, rng);
-}
 }  // namespace
 
 void save_model(nn::Sequential& model, const std::string& arch,
@@ -37,7 +20,8 @@ void save_model(nn::Sequential& model, const std::string& arch,
     throw std::invalid_argument("save_model: architecture name has newline");
   }
   // Validate that the name round-trips before writing anything.
-  (void)build_named(arch, input_bits, classes);
+  util::Xoshiro256 rng(1);
+  (void)build_architecture(arch, input_bits, classes, rng);
 
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("save_model: cannot open " + path);
@@ -63,7 +47,9 @@ LoadedModel load_model(const std::string& path) {
   if (!(ds >> out.input_bits >> out.classes) || out.arch.empty()) {
     throw std::runtime_error("load_model: malformed header in " + path);
   }
-  out.model = build_named(out.arch, out.input_bits, out.classes);
+  // The weights are overwritten below; the init RNG seed is irrelevant.
+  util::Xoshiro256 rng(1);
+  out.model = build_architecture(out.arch, out.input_bits, out.classes, rng);
   // The payload carries a CRC-32 footer (see nn/serialize.hpp); surface
   // integrity failures with the path so "corrupt model file" errors are
   // actionable.

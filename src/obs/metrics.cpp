@@ -27,9 +27,10 @@ const char* kind_name(int kind) {
 
 /// RAII owner of one thread's shard: created on the thread's first record,
 /// retires the shard (merge into the retained totals, free the memory) when
-/// the thread exits.  get() touches the registry singleton first, so the
-/// registry outlives every handle, including the main thread's.  Defined at
-/// namespace scope so the friend declaration in the header can name it.
+/// the thread exits.  The registry singleton is never destroyed, so it
+/// outlives every handle, including those of threads joined during static
+/// destruction.  Defined at namespace scope so the friend declaration in
+/// the header can name it.
 struct ShardHandle {
   MetricsRegistry::Shard* shard = nullptr;
 
@@ -63,8 +64,11 @@ MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Intentionally leaked, like util::ThreadPool::global() and obs::Logger:
+  // a thread joined by a static built before the registry (so destroyed
+  // after it) still retires its shard here when it exits.
+  static MetricsRegistry* const registry = new MetricsRegistry();
+  return *registry;
 }
 
 MetricId MetricsRegistry::register_metric(std::string_view name, int kind,

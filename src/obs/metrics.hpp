@@ -86,8 +86,8 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// The process-wide registry.  Constructed before any shard (shards hold
-  /// no back-references that could dangle, but retire() must find it).
+  /// The process-wide registry.  Constructed before any shard and never
+  /// destroyed, so a thread's exit can always retire() its shard into it.
   static MetricsRegistry& global();
 
   // --- registration (cold; takes the registry lock) ----------------------

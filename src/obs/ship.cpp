@@ -1,7 +1,10 @@
 #include "obs/ship.hpp"
 
 #include <exception>
+#include <system_error>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace mldist::obs {
 
@@ -12,18 +15,9 @@ constexpr char kField = '\x1f';  // between fields of one record
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
-/// Strict decimal u64 parse of a whole field; false on junk.
+/// util::json::parse_u64 of a whole decimal field; false on junk.
 bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (~0ULL - digit) / 10) return false;  // overflow
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
+  return util::json::parse_u64(text, out) == std::errc();
 }
 
 std::vector<std::string_view> split(std::string_view text, char sep) {

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -139,6 +140,31 @@ std::map<std::string, std::string> serial_reference(
   EXPECT_TRUE(rep.complete());
   EXPECT_EQ(rep.cells_failed, 0u);
   return read_history(dir.path());
+}
+
+/// The 0x1f record `fields` joined.
+std::string join_fields(const std::vector<std::string>& fields) {
+  std::string out;
+  for (const std::string& f : fields) {
+    if (!out.empty()) out += '\x1f';
+    out += f;
+  }
+  return out;
+}
+
+/// `record` with its 0x1f field `index` replaced by `value`.
+std::string with_field(const std::string& record, std::size_t index,
+                       const std::string& value) {
+  std::vector<std::string> fields(1);
+  for (char c : record) {
+    if (c == '\x1f') {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  fields.at(index) = value;
+  return join_fields(fields);
 }
 
 // --- util::append_jsonl under multi-process concurrency --------------------
@@ -271,6 +297,37 @@ TEST(CampaignCodec, ConfigRoundTripsBitwise) {
 
   EXPECT_FALSE(campaign::decode_config("", d));
   EXPECT_FALSE(campaign::decode_config("toy\x1f" "2", d));
+
+  // Integers take util::json::parse_u64 digits only.  Field indices:
+  // 1 rounds, 3 diffs, 5 epochs, 6 batch_size, 10 seed, 11 threads,
+  // 12 offline budget, 14 games, 15 max_retries.
+  const std::vector<std::pair<std::size_t, std::string>> rejected = {
+      {6, "-1"},                     // strtoull wrapped it to 2^64-1
+      {10, "010"},                   // base-0 strtoull read octal 8
+      {11, " 7"},                    // strtoull skipped the blank
+      {12, "+7"},
+      {14, "18446744073709551616"},  // 2^64: strtoull clamped it
+      {5, "4294967297"},             // a cast truncated it to int 1
+      {15, "2147483648"},            // INT_MAX + 1
+      {1, "-2147483649"},            // INT_MIN - 1
+      {1, "--1"},
+      {3, "0x40,-1"},
+      {3, "0x"},
+  };
+  for (const auto& [field, text] : rejected) {
+    EXPECT_FALSE(campaign::decode_config(with_field(wire, field, text), d))
+        << "field " << field << " = '" << text << "'";
+  }
+  // The ends of every range still round-trip.
+  c.rounds = std::numeric_limits<int>::min();
+  c.epochs = std::numeric_limits<int>::max();
+  c.seed = ~0ULL;
+  c.diffs = {0, ~0ULL};
+  ASSERT_TRUE(campaign::decode_config(campaign::encode_config(c), d));
+  EXPECT_EQ(d.rounds, c.rounds);
+  EXPECT_EQ(d.epochs, c.epochs);
+  EXPECT_EQ(d.seed, c.seed);
+  EXPECT_EQ(d.diffs, c.diffs);
 }
 
 TEST(CampaignCodec, TrainResultRoundTripsBitwise) {
@@ -285,7 +342,6 @@ TEST(CampaignCodec, TrainResultRoundTripsBitwise) {
   r.report.robustness.divergences = 1;
   r.report.robustness.rollbacks = 1;
   r.t = 2;
-  r.best_val = r.report.val_accuracy;
 
   const std::string wire = campaign::encode_train_result(r);
   campaign::CellTrainResult d;
@@ -300,10 +356,29 @@ TEST(CampaignCodec, TrainResultRoundTripsBitwise) {
   EXPECT_EQ(d.report.robustness.divergences, r.report.robustness.divergences);
   EXPECT_EQ(d.report.robustness.rollbacks, r.report.robustness.rollbacks);
   EXPECT_EQ(d.t, r.t);
-  EXPECT_EQ(d.best_val, r.best_val);
   EXPECT_EQ(campaign::encode_train_result(d), wire);
 
   EXPECT_FALSE(campaign::decode_train_result("not a record", d));
+  // Field indices: 3 samples, 6-8 attempts/divergences/rollbacks, 9 t.
+  const std::vector<std::pair<std::size_t, std::string>> rejected = {
+      {3, "-1"}, {3, "0x10"}, {6, "4294967298"}, {7, " 1"},
+      {8, "-2147483649"}, {9, "02"}};
+  for (const auto& [field, text] : rejected) {
+    EXPECT_FALSE(campaign::decode_train_result(with_field(wire, field, text),
+                                               d))
+        << "field " << field << " = '" << text << "'";
+  }
+  // Ten fields exactly: a record carrying an 11th (a checkpoint accuracy
+  // nothing reads) is refused, and the worker retrains the cell.
+  const std::vector<std::string> ten = {"0x1.8p-1", "0x1.7p-1", "0x1p-4",
+                                        "12000",    "0x1.bp+3", "1",
+                                        "2",        "1",        "1",
+                                        "2"};
+  ASSERT_TRUE(campaign::decode_train_result(join_fields(ten), d));
+  EXPECT_EQ(d.report.samples, 12000u);
+  std::vector<std::string> eleven = ten;
+  eleven.push_back("0x1.7p-1");
+  EXPECT_FALSE(campaign::decode_train_result(join_fields(eleven), d));
 }
 
 // --- WAL field extraction + replay ----------------------------------------
@@ -540,6 +615,26 @@ TEST(CampaignSupervisor, ResumeSkipsJournaledCellsWithoutDuplicates) {
   EXPECT_EQ(read_history(dir.path()), reference)
       << "a resumed campaign must end with the same payloads as one "
          "uninterrupted run";
+}
+
+TEST(CampaignSupervisor, StartRecordWithoutGridIsRefused) {
+  // A journal whose start record carries no grid fingerprint cannot prove
+  // it belongs to this spec: refused like a grid mismatch, before any lease.
+  const campaign::CampaignSpec spec = tiny_spec(1);
+  TempDir dir("no-grid");
+  const std::string journal = dir.path() + "/campaign.state.jsonl";
+  ASSERT_TRUE(util::append_jsonl(
+      journal, R"({"event":"start","campaign":"test-campaign","cells":1})"));
+  try {
+    (void)campaign::Supervisor(spec, options_for(dir, /*workers=*/0)).run();
+    FAIL() << "expected the resume guard to refuse the journal";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("does not match the existing journal (crc missing)"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(count_lines(journal), 1u);
 }
 
 TEST(CampaignSupervisor, StateDirLockRejectsSecondSupervisor) {

@@ -53,7 +53,7 @@ TEST(ToyAllInOne, MlApproachesBayesCeiling) {
       target.diffs()[0], target.diffs()[1]);
   Xoshiro256 rng(1);
   auto model = build_default_mlp(8, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 10;
   MLDistinguisher dist(std::move(model), opt);
   const TrainReport rep = dist.train(target, 6000);
@@ -78,7 +78,7 @@ TEST(Combiner, CombiningBoostsWeakDistinguisher) {
   const GimliCipherTarget target(7);
   Xoshiro256 rng(3);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 3;
   MLDistinguisher dist(std::move(model), opt);
   const TrainReport rep = dist.train(target, 3000);
@@ -99,7 +99,7 @@ TEST(Combiner, RandomOracleStaysAtBaseline) {
   const GimliCipherTarget target(7);
   Xoshiro256 rng(5);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 2;
   MLDistinguisher dist(std::move(model), opt);
   (void)dist.train(target, 1500);
@@ -115,7 +115,7 @@ TEST(Combiner, ReportAccounting) {
   const GimliCipherTarget target(2);
   Xoshiro256 rng(7);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 1;
   MLDistinguisher dist(std::move(model), opt);
   (void)dist.train(target, 100);

@@ -128,7 +128,7 @@ TEST(Targets, GimliHashPrefixBlocksModelThePapersLongMessage) {
 TEST(Targets, GimliHashPrefixedStillDistinguishable) {
   Xoshiro256 rng(42);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 2;
   MLDistinguisher dist(std::move(model), opt);
   const GimliHashTarget target(3, {4, 12}, 7);
@@ -189,7 +189,7 @@ TEST(Dataset, DeterministicGivenSeed) {
 TEST(Distinguisher, LearnsTwoRoundGimliHashPerfectly) {
   Xoshiro256 rng(9);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 3;
   opt.seed = 0xabc;
   MLDistinguisher dist(std::move(model), opt);
@@ -202,7 +202,7 @@ TEST(Distinguisher, LearnsTwoRoundGimliHashPerfectly) {
 TEST(Distinguisher, OnlinePhaseSeparatesCipherFromRandom) {
   Xoshiro256 rng(10);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 3;
   MLDistinguisher dist(std::move(model), opt);
   const GimliHashTarget target(2);
@@ -224,7 +224,7 @@ TEST(Distinguisher, AbortsOnFullRoundGimli) {
   // accuracy stays at 1/t and the distinguisher reports unusable.
   Xoshiro256 rng(11);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 2;
   MLDistinguisher dist(std::move(model), opt);
   const GimliHashTarget target(24);
@@ -233,12 +233,20 @@ TEST(Distinguisher, AbortsOnFullRoundGimli) {
   EXPECT_NEAR(rep.val_accuracy, 0.5, 0.15);
 }
 
+TEST(Distinguisher, VerdictNamesAreTheLowercasePayloadSpelling) {
+  // Campaign history payloads, bench artifacts and mldist_cli all print
+  // these; committed history lines pin the spelling.
+  EXPECT_STREQ(verdict_name(Verdict::kCipher), "cipher");
+  EXPECT_STREQ(verdict_name(Verdict::kRandom), "random");
+  EXPECT_STREQ(verdict_name(Verdict::kInconclusive), "inconclusive");
+}
+
 TEST(Distinguisher, TestBeforeTrainThrows) {
   Xoshiro256 rng(12);
   auto model = build_default_mlp(128, 2, rng);
   const MLDistinguisher dist(std::make_unique<mldist::nn::Sequential>(
                                  std::move(*model)),
-                             DistinguisherOptions{});
+                             ExperimentConfig{});
   const RandomOracle oracle(2, 16);
   EXPECT_THROW((void)dist.test(oracle, 10), std::logic_error);
 }
@@ -246,7 +254,7 @@ TEST(Distinguisher, TestBeforeTrainThrows) {
 TEST(Distinguisher, OracleMismatchThrows) {
   Xoshiro256 rng(13);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 1;
   MLDistinguisher dist(std::move(model), opt);
   const GimliHashTarget target(2);
@@ -256,14 +264,14 @@ TEST(Distinguisher, OracleMismatchThrows) {
 }
 
 TEST(Distinguisher, NullModelThrows) {
-  EXPECT_THROW(MLDistinguisher(nullptr, DistinguisherOptions{}),
+  EXPECT_THROW(MLDistinguisher(nullptr, ExperimentConfig{}),
                std::invalid_argument);
 }
 
 TEST(Distinguisher, Log2DataAccounting) {
   Xoshiro256 rng(14);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 1;
   MLDistinguisher dist(std::move(model), opt);
   const GimliHashTarget target(2);

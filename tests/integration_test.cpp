@@ -31,7 +31,7 @@ TEST(Integration, OfflineOnlineWithModelPersistence) {
   double train_acc = 0.0;
   {
     auto model = build_default_mlp(128, 2, rng);
-    DistinguisherOptions opt;
+    ExperimentConfig opt;
     opt.epochs = 3;
     MLDistinguisher dist(std::move(model), opt);
     const TrainReport rep = dist.train(target, 500);
@@ -67,7 +67,7 @@ TEST(Integration, OfflineOnlineWithModelPersistence) {
 TEST(Integration, OracleGameMostlyWonOnEasyTarget) {
   Xoshiro256 rng(2);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 3;
   MLDistinguisher dist(std::move(model), opt);
   const GimliHashTarget target(2);
@@ -97,7 +97,7 @@ TEST(Integration, GameReportCountsInconclusiveAgainstSuccessRate) {
   // deterministically inconclusive regardless of the referee's coins.
   Xoshiro256 rng(5);
   auto model = build_default_mlp(128, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 1;
   MLDistinguisher dist(std::move(model), opt);
   const GimliHashTarget target(2);
@@ -127,7 +127,7 @@ TEST(Integration, SvmBaselineWorksOnVeryLowRounds) {
 TEST(Integration, SpeckDistinguisherAtFiveRounds) {
   Xoshiro256 rng(4);
   auto model = build_default_mlp(32, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 5;
   MLDistinguisher dist(std::move(model), opt);
   const SpeckTarget target(5);
@@ -147,7 +147,7 @@ TEST(Integration, AccuracyDecreasesWithRounds) {
   for (int rounds : {2, 4, 6}) {
     Xoshiro256 rng(5);
     auto model = build_default_mlp(128, 2, rng);
-    DistinguisherOptions opt;
+    ExperimentConfig opt;
     opt.epochs = 3;
     opt.seed = 0x5eed + static_cast<std::uint64_t>(rounds);
     MLDistinguisher dist(std::move(model), opt);
@@ -164,7 +164,7 @@ TEST(Integration, FourDifferenceVariantTrainsAndLabels) {
   const GimliHashTarget target(2, {1, 4, 8, 12});
   EXPECT_EQ(target.num_differences(), 4u);
   auto model = build_default_mlp(128, 4, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 3;
   MLDistinguisher dist(std::move(model), opt);
   const TrainReport rep = dist.train(target, 400);

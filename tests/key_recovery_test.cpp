@@ -19,7 +19,7 @@ std::unique_ptr<MLDistinguisher> train_speck_model(int rounds,
                                                    std::size_t base_inputs) {
   Xoshiro256 rng(101);
   auto model = build_default_mlp(32, 2, rng);
-  DistinguisherOptions opt;
+  ExperimentConfig opt;
   opt.epochs = 5;
   opt.seed = 0xabcd;
   auto dist = std::make_unique<MLDistinguisher>(std::move(model), opt);

@@ -268,12 +268,11 @@ TEST(RetryPolicy, ForcedNaNRecoversViaRollbackAndBackoff) {
   config.threads = 1;
   const auto target = config.make_target();
 
-  core::DistinguisherOptions opt(config);
-  opt.faults.poison_weight_epoch = 2;  // NaN a weight after epoch 2 ...
-  opt.faults.poison_max_attempts = 1;  // ... on the first attempt only
-  opt.retry.max_attempts = 3;
+  config.faults.poison_weight_epoch = 2;  // NaN a weight after epoch 2 ...
+  config.faults.poison_max_attempts = 1;  // ... on the first attempt only
+  config.max_retries = 3;
 
-  core::MLDistinguisher dist(config.make_model(*target), opt);
+  core::MLDistinguisher dist(*target, config);
   const core::TrainReport rep = dist.train(*target, 400);
 
   // Attempt 1 diverged at epoch 3, rolled back to the epoch-2 checkpoint,
@@ -308,12 +307,11 @@ TEST(RetryPolicy, ExhaustedRetriesDegradeToLinearBaseline) {
   config.threads = 1;
   const auto target = config.make_target();
 
-  core::DistinguisherOptions opt(config);
-  opt.faults.poison_weight_epoch = 1;
-  opt.faults.poison_max_attempts = 8;  // poison outlives the retry budget
-  opt.retry.max_attempts = 2;
+  config.faults.poison_weight_epoch = 1;
+  config.faults.poison_max_attempts = 8;  // poison outlives the retry budget
+  config.max_retries = 2;
 
-  core::MLDistinguisher dist(config.make_model(*target), opt);
+  core::MLDistinguisher dist(*target, config);
   const core::TrainReport rep = dist.train(*target, 300);
 
   EXPECT_EQ(rep.robustness.attempts, 2);

@@ -73,15 +73,8 @@ void save_test_model(const std::string& dir, const std::string& name,
                      const std::string& arch, std::size_t input_bits,
                      std::size_t classes, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
-  std::unique_ptr<nn::Sequential> model;
-  if (arch == "default-mlp") {
-    model = core::build_default_mlp(input_bits, classes, rng);
-  } else if (arch.rfind("gohr-net/", 0) == 0) {
-    model = core::build_gohr_net(input_bits, classes,
-                                 core::gohr_net_depth(arch), rng);
-  } else {
-    model = core::build_architecture(arch, input_bits, classes, rng);
-  }
+  const std::unique_ptr<nn::Sequential> model =
+      core::build_architecture(arch, input_bits, classes, rng);
   core::save_model(*model, arch, input_bits, classes,
                    dir + "/" + name + ".nnb");
 }

@@ -422,9 +422,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> speedups_json;
   for (double r : round_speedups) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", r);  // JsonBuilder's rendering
-    speedups_json.push_back(buf);
+    speedups_json.push_back(util::JsonBuilder::number(r));
   }
   util::JsonBuilder j;
   j.raw("options", bench::options_json(opt))

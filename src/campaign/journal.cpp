@@ -47,8 +47,9 @@ JournalState replay_journal(const std::string& path) {
     const std::string* cell = string_member(record, "cell");
     if (cell == nullptr) continue;
     if (*event == "trained") {
-      if (const std::string* train = string_member(record, "train")) {
-        state.trained[*cell] = *train;
+      const Value* train = record.find("train");
+      if (train != nullptr && train->kind == Value::Kind::kObject) {
+        state.trained[*cell] = std::string(train->span(line));
       }
     } else if (*event == "done") {
       const Value* payload = record.find("payload");

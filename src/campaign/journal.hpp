@@ -10,14 +10,14 @@
 // the WAL — never by re-running the cell.
 //
 // Replay reads each line with util::json, the repo's one JSON reader, and
-// keeps "payload"/"telemetry" as their source spans: the bytes come back
-// exactly as journaled, which is what makes payload pinning bitwise.
+// keeps "payload"/"telemetry"/"train" as their source spans: the bytes come
+// back exactly as journaled, which is what makes payload pinning bitwise.
 //
 // Record shapes (one per line, "event" first):
 //   {"event":"start","campaign":...,"cells":N,"seed":S,"grid":"crc",
 //    "manifest":{...}}
 //   {"event":"lease","cell":"id","index":n,"attempt":k,"worker":pid}
-//   {"event":"trained","cell":"id","index":n,"train":"<0x1f-record>"}
+//   {"event":"trained","cell":"id","index":n,"train":{train_json()}}
 //   {"event":"done","cell":"id","index":n,"payload":{...},"telemetry":{...}}
 //   {"event":"reclaim","cell":"id","index":n,"attempt":k,"reason":"died|
 //    hung|diverged|error","latency_ns":L}
@@ -43,8 +43,9 @@ struct JournalState {
   std::map<std::string, std::string> done_payload;    ///< pinned payload JSON
   std::map<std::string, std::string> done_telemetry;  ///< sidecar JSON
   std::set<std::string> failed;                       ///< permanently failed
-  /// Cells whose offline phase was journaled (encode_train_result record):
-  /// resumable from the model snapshot without retraining.
+  /// Cells whose offline phase was journaled (the train_json() object's
+  /// bytes): resumable from the model snapshot without retraining.  A
+  /// "trained" record whose "train" is not an object is ignored.
   std::map<std::string, std::string> trained;
   bool saw_start = false;
   /// The expanded grid's fingerprint from the latest "start" record (see

@@ -11,14 +11,12 @@
 // fields (accuracies, sample counts, z-scores, verdicts); wall-clock
 // telemetry travels in a separate, unpinned JSON object.
 //
-// The wire codecs (encode_config/encode_train_result) exist because cells
-// cross a process boundary: the supervisor sends a cell's config to a
-// worker over a pipe and journals the worker's train result in the WAL.
-// Fields are separated by 0x1f (ASCII unit separator — cannot appear in
-// target/arch names or paths we mint) and floating-point values are
-// rendered as C99 hex-floats ("%a"), so a value decoded on the other side
-// is bit-identical to the one encoded: resumed runs cannot drift by a ULP
-// through a decimal round-trip.
+// Cells cross a process boundary: the supervisor sends a cell's config to a
+// worker over a pipe and journals the worker's train report in the WAL.
+// Both travel as the JSON the payload carries, ExperimentConfig::to_json()
+// and train_json(), and come back through specfile.hpp's readers.
+// JsonBuilder renders each real as the shortest text that reads back to the
+// same bits, so resumed runs cannot drift by a ULP through the text.
 #pragma once
 
 #include <cstdint>
@@ -102,26 +100,10 @@ std::string grid_crc(const std::vector<Cell>& cells);
 /// wall-clock second into per-cell ETAs for /runz.
 double cell_cost(const core::ExperimentConfig& config);
 
-/// ExperimentConfig <-> 0x1f-separated record with hex-float reals.
-/// Integers go through util::json::parse_u64 (diff masks: parse_u64_or_hex;
-/// signed fields take one leading '-' and must fit an int).  decode returns
-/// false (leaving `out` unspecified) on a malformed record.
-std::string encode_config(const core::ExperimentConfig& config);
-bool decode_config(const std::string& text, core::ExperimentConfig& out);
-
-/// The deterministic outcome of a cell's offline phase, as journaled after
-/// the worker snapshots its trained model: enough to adopt_train_report()
-/// in a different process and rerun only the online phase.
-struct CellTrainResult {
-  core::TrainReport report;  ///< telemetry/timing fields are not carried
-  std::size_t t = 0;         ///< class count the report was produced with
-};
-
-/// CellTrainResult <-> 0x1f-separated record (10 fields).  decode returns
-/// false on a malformed record, a record of another field count included;
-/// the worker then retrains the cell, which is deterministic.
-std::string encode_train_result(const CellTrainResult& result);
-bool decode_train_result(const std::string& text, CellTrainResult& out);
+/// The payload's "train" object: a train report's deterministic fields
+/// (telemetry and timing are not carried).  It is also the worker's TRAINED
+/// record and the WAL "trained" event, read back by read_train_json().
+std::string train_json(const core::TrainReport& train);
 
 /// The pinned per-cell result object: deterministic fields only, config
 /// rendered with checkpoint_path cleared.  Bitwise identical across worker

@@ -1,9 +1,10 @@
 #include "campaign/specfile.hpp"
 
+#include <array>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <system_error>
@@ -23,8 +24,41 @@ namespace {
 
 using util::json::Value;
 
-/// Walks the util::json DOM into a CampaignSpec.  Errors report each
-/// value's DOM line: a scalar member's key line, a container's first line.
+/// ExperimentConfig::to_json()'s keys.  A spec file's `defaults` takes all
+/// but the last two, which the campaign sets per cell.
+constexpr std::array<std::string_view, 18> kConfigKeys = {
+    "target", "rounds", "arch", "diff_site", "diffs", "epochs", "batch_size",
+    "learning_rate", "validation_fraction", "z_threshold", "threads",
+    "offline_base_inputs", "online_base_inputs", "games", "max_retries",
+    "lr_backoff", "seed", "checkpoint_path"};
+constexpr std::size_t kDefaultsKeys = 16;
+
+/// train_json()'s keys.
+constexpr std::array<std::string_view, 9> kTrainKeys = {
+    "train_accuracy", "val_accuracy", "train_loss", "samples", "log2_data",
+    "usable", "attempts", "divergences", "rollbacks"};
+
+std::string join(std::span<const std::string_view> keys) {
+  std::string out;
+  for (std::string_view k : keys) {
+    if (!out.empty()) out += ", ";
+    out += k;
+  }
+  return out;
+}
+
+Value parse_text(std::string_view text, const std::string& origin) {
+  Value root;
+  util::json::Error error;
+  if (!util::json::parse(text, root, &error)) {
+    throw SpecError(origin, error.line, error.message);
+  }
+  return root;
+}
+
+/// Walks the util::json DOM into a CampaignSpec, a cell's config or its
+/// train report.  Errors report each value's DOM line: a scalar member's
+/// key line, a container's first line.
 class Mapper {
  public:
   explicit Mapper(const std::string& origin) : origin_(origin) {}
@@ -38,15 +72,14 @@ class Mapper {
       } else if (key == "seed") {
         spec.seed = as_u64(v, key);
       } else if (key == "defaults") {
-        map_defaults(v, spec.base);
+        map_config(v, spec.base, /*cell=*/false);
       } else if (key == "grid") {
         require(v, Value::Kind::kArray, key);
         for (const Value& b : v.items) {
           spec.blocks.push_back(map_block(b));
         }
       } else {
-        unknown_key(v, key, "the spec",
-                    "name, seed, defaults, grid");
+        unknown_key(v, key, "the spec", "name, seed, defaults, grid");
       }
     }
     if (spec.blocks.empty()) {
@@ -57,19 +90,82 @@ class Mapper {
     return spec;
   }
 
+  /// The `defaults` keys of `v` onto `c`; with `cell` set, also the keys
+  /// the campaign sets, and every key must be present.
+  void map_config(const Value& v, core::ExperimentConfig& c, bool cell) const {
+    require(v, Value::Kind::kObject, cell ? "config" : "defaults");
+    for (const auto& [key, m] : v.members) {
+      if (key == "target") c.target = as_string(m, key);
+      else if (key == "rounds") c.rounds = as_int(m, key);
+      else if (key == "arch") c.arch = as_string(m, key);
+      else if (key == "diff_site") c.diff_site = as_string(m, key);
+      else if (key == "diffs") c.diffs = as_diff_set(m, key);
+      else if (key == "epochs") c.epochs = as_int(m, key);
+      else if (key == "batch_size") c.batch_size = static_cast<std::size_t>(as_u64(m, key));
+      else if (key == "learning_rate") c.learning_rate = as_float(m, key);
+      else if (key == "validation_fraction") c.validation_fraction = as_double(m, key);
+      else if (key == "z_threshold") c.z_threshold = as_double(m, key);
+      else if (key == "threads") c.threads = static_cast<std::size_t>(as_u64(m, key));
+      else if (key == "offline_base_inputs") c.offline_base_inputs = static_cast<std::size_t>(as_u64(m, key));
+      else if (key == "online_base_inputs") c.online_base_inputs = static_cast<std::size_t>(as_u64(m, key));
+      else if (key == "games") c.games = static_cast<std::size_t>(as_u64(m, key));
+      else if (key == "max_retries") c.max_retries = as_int(m, key);
+      else if (key == "lr_backoff") c.lr_backoff = as_float(m, key);
+      else if (cell && key == "seed") c.seed = as_u64(m, key);
+      else if (cell && key == "checkpoint_path") c.checkpoint_path = as_string(m, key);
+      else if (cell) unknown_key(m, key, "the config", join(kConfigKeys));
+      else {
+        unknown_key(m, key, "defaults",
+                    join(std::span(kConfigKeys).first(kDefaultsKeys)));
+      }
+    }
+    if (cell) require_keys(v, kConfigKeys, "the config");
+  }
+
+  /// A train_json() object: every key, nothing else.
+  core::TrainReport map_train(const Value& v) const {
+    require(v, Value::Kind::kObject, "train");
+    core::TrainReport t;
+    for (const auto& [key, m] : v.members) {
+      if (key == "train_accuracy") t.train_accuracy = as_double(m, key);
+      else if (key == "val_accuracy") t.val_accuracy = as_double(m, key);
+      else if (key == "train_loss") t.train_loss = as_double(m, key);
+      else if (key == "samples") t.samples = static_cast<std::size_t>(as_u64(m, key));
+      else if (key == "log2_data") t.log2_data = as_double(m, key);
+      else if (key == "usable") t.usable = as_bool(m, key);
+      else if (key == "attempts") t.robustness.attempts = as_int(m, key);
+      else if (key == "divergences") t.robustness.divergences = as_int(m, key);
+      else if (key == "rollbacks") t.robustness.rollbacks = as_int(m, key);
+      else unknown_key(m, key, "the train report", join(kTrainKeys));
+    }
+    require_keys(v, kTrainKeys, "the train report");
+    return t;
+  }
+
  private:
   [[noreturn]] void unknown_key(const Value& v, const std::string& key,
                                 const std::string& where,
-                                const char* known) const {
+                                const std::string& known) const {
     throw SpecError(origin_, v.line,
                     "unknown key \"" + key + "\" in " + where +
                         " (known keys: " + known + ")");
+  }
+
+  void require_keys(const Value& v, std::span<const std::string_view> keys,
+                    const std::string& where) const {
+    for (std::string_view k : keys) {
+      if (v.find(k) == nullptr) {
+        throw SpecError(origin_, v.line,
+                        where + " lacks \"" + std::string(k) + "\"");
+      }
+    }
   }
 
   void require(const Value& v, Value::Kind kind, const std::string& key) const {
     if (v.kind == kind) return;
     const char* want = "a value";
     switch (kind) {
+      case Value::Kind::kBool: want = "a boolean"; break;
       case Value::Kind::kString: want = "a string"; break;
       case Value::Kind::kNumber: want = "a number"; break;
       case Value::Kind::kArray: want = "an array"; break;
@@ -142,19 +238,26 @@ class Mapper {
 
   double as_double(const Value& v, const std::string& key) const {
     require(v, Value::Kind::kNumber, key);
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(v.text.c_str(), &end);
-    if (v.text.empty() || end != v.text.c_str() + v.text.size()) {
-      throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is not a valid number: \"" + v.text +
-                          "\"");
-    }
-    if (errno == ERANGE || !std::isfinite(parsed)) {
-      throw SpecError(origin_, v.line,
-                      "\"" + key + "\" is out of range: " + v.text);
-    }
-    return parsed;
+    double out = 0.0;
+    if (!v.as_f64(out)) out_of_range(v, key);
+    return out;
+  }
+
+  float as_float(const Value& v, const std::string& key) const {
+    require(v, Value::Kind::kNumber, key);
+    float out = 0.0f;
+    if (!v.as_f32(out)) out_of_range(v, key);
+    return out;
+  }
+
+  [[noreturn]] void out_of_range(const Value& v, const std::string& key) const {
+    throw SpecError(origin_, v.line,
+                    "\"" + key + "\" is out of range: " + v.text);
+  }
+
+  bool as_bool(const Value& v, const std::string& key) const {
+    require(v, Value::Kind::kBool, key);
+    return v.boolean;
   }
 
   std::vector<std::uint64_t> as_diff_set(const Value& v,
@@ -166,42 +269,13 @@ class Mapper {
     return out;
   }
 
-  void map_defaults(const Value& v, core::ExperimentConfig& base) const {
-    require(v, Value::Kind::kObject, "defaults");
-    for (const auto& [key, m] : v.members) {
-      if (key == "target") base.target = as_string(m, key);
-      else if (key == "rounds") base.rounds = as_int(m, key);
-      else if (key == "arch") base.arch = as_string(m, key);
-      else if (key == "diff_site") base.diff_site = as_string(m, key);
-      else if (key == "diffs") base.diffs = as_diff_set(m, key);
-      else if (key == "epochs") base.epochs = as_int(m, key);
-      else if (key == "batch_size") base.batch_size = static_cast<std::size_t>(as_u64(m, key));
-      else if (key == "learning_rate") base.learning_rate = static_cast<float>(as_double(m, key));
-      else if (key == "validation_fraction") base.validation_fraction = as_double(m, key);
-      else if (key == "z_threshold") base.z_threshold = as_double(m, key);
-      else if (key == "threads") base.threads = static_cast<std::size_t>(as_u64(m, key));
-      else if (key == "offline_base_inputs") base.offline_base_inputs = static_cast<std::size_t>(as_u64(m, key));
-      else if (key == "online_base_inputs") base.online_base_inputs = static_cast<std::size_t>(as_u64(m, key));
-      else if (key == "games") base.games = static_cast<std::size_t>(as_u64(m, key));
-      else if (key == "max_retries") base.max_retries = as_int(m, key);
-      else if (key == "lr_backoff") base.lr_backoff = static_cast<float>(as_double(m, key));
-      else {
-        unknown_key(m, key, "defaults",
-                    "target, rounds, arch, diff_site, diffs, epochs, "
-                    "batch_size, learning_rate, validation_fraction, "
-                    "z_threshold, threads, offline_base_inputs, "
-                    "online_base_inputs, games, max_retries, lr_backoff");
-      }
-    }
-  }
-
   CellOverrides map_overrides(const Value& v) const {
     require(v, Value::Kind::kObject, "overrides");
     CellOverrides o;
     for (const auto& [key, m] : v.members) {
       if (key == "epochs") o.epochs = as_int(m, key);
       else if (key == "batch_size") o.batch_size = static_cast<std::size_t>(as_u64(m, key));
-      else if (key == "learning_rate") o.learning_rate = static_cast<float>(as_double(m, key));
+      else if (key == "learning_rate") o.learning_rate = as_float(m, key);
       else if (key == "validation_fraction") o.validation_fraction = as_double(m, key);
       else if (key == "z_threshold") o.z_threshold = as_double(m, key);
       else if (key == "online_base_inputs") o.online_base_inputs = static_cast<std::size_t>(as_u64(m, key));
@@ -292,13 +366,7 @@ class Mapper {
 
 CampaignSpec parse_spec_text(const std::string& text,
                              const std::string& origin) {
-  Value root;
-  util::json::Error error;
-  if (!util::json::parse(text, root, &error)) {
-    throw SpecError(origin, error.line, error.message);
-  }
-  Mapper mapper(origin);
-  return mapper.map(root);
+  return Mapper(origin).map(parse_text(text, origin));
 }
 
 CampaignSpec load_spec_file(const std::string& path) {
@@ -309,6 +377,18 @@ CampaignSpec load_spec_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse_spec_text(buf.str(), path);
+}
+
+core::ExperimentConfig read_config_json(std::string_view json) {
+  const std::string origin = "cell config";
+  core::ExperimentConfig config;
+  Mapper(origin).map_config(parse_text(json, origin), config, /*cell=*/true);
+  return config;
+}
+
+core::TrainReport read_train_json(std::string_view json) {
+  const std::string origin = "train report";
+  return Mapper(origin).map_train(parse_text(json, origin));
 }
 
 }  // namespace mldist::campaign

@@ -8,10 +8,18 @@
 // maps its DOM onto the schema.  A spec file is human-authored input, so
 // every error carries file:line ("paper_grid.json:17: unknown key 'epoch'
 // in overrides ...") instead of a byte offset.
+//
+// The same mapper reads a cell's two records back: its config as
+// ExperimentConfig::to_json() renders it (the worker's CELL command) and
+// its train report as train_json() renders it (the worker's TRAINED record
+// and the WAL "trained" event).  JsonBuilder writes each real as the
+// shortest text that reads back to the same bits, so both round-trip
+// exactly.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "campaign/spec.hpp"
 
@@ -36,5 +44,14 @@ CampaignSpec parse_spec_text(const std::string& text,
 /// Read and parse a spec file; throws std::runtime_error if unreadable and
 /// SpecError on schema violations.
 CampaignSpec load_spec_file(const std::string& path);
+
+/// A cell's config JSON, read by the `defaults` mapper.  Unlike `defaults`
+/// it takes the keys the campaign sets (seed, checkpoint_path) and needs
+/// every key.  Throws SpecError.
+core::ExperimentConfig read_config_json(std::string_view json);
+
+/// A train_json() object: every key and no other, reals finite.  Throws
+/// SpecError.
+core::TrainReport read_train_json(std::string_view json);
 
 }  // namespace mldist::campaign

@@ -16,9 +16,11 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/journal.hpp"
+#include "campaign/specfile.hpp"
 #include "campaign/worker.hpp"
 #include "core/checkpoint.hpp"
 #include "obs/log.hpp"
@@ -56,7 +58,7 @@ struct CellState {
   int attempts = 0;        ///< leases consumed
   double ready_at = 0.0;   ///< backoff expiry (monotonic seconds)
   double cost = 0.0;       ///< spec.hpp cell_cost(): lease ordering + ETA
-  std::string train_tsv;   ///< journaled offline result (resume record)
+  std::string train;       ///< journaled train_json() (resume record)
 };
 
 /// Lease queue order: heterogeneous cell costs, most expensive first so the
@@ -145,6 +147,13 @@ class Runner {
         .field("index", static_cast<std::uint64_t>(cs.cell.index))
         .merge(extra);
     journal(j);
+  }
+  /// Journal a cell's train_json() and keep it as the cell's resume record.
+  void journal_trained(CellState& cs, const std::string& train) {
+    cs.train = train;
+    util::JsonBuilder extra;
+    extra.raw("train", train);
+    journal_event("trained", cs, std::move(extra));
   }
 
   void append_history(const CellState& cs, const std::string& payload,
@@ -417,7 +426,13 @@ void Runner::load_prior_state() {
     } else {
       if (const auto it = prior.trained.find(cs.cell.id);
           it != prior.trained.end()) {
-        cs.train_tsv = it->second;  // resume at the online phase
+        // Resume at the online phase.  Re-rendered, because the WAL may
+        // hold any JSON whitespace and a tab would split the CELL line; a
+        // report that does not read back is dropped, and the cell retrains.
+        try {
+          cs.train = train_json(read_train_json(it->second));
+        } catch (const SpecError&) {
+        }
       }
       queue_ready(cs);
     }
@@ -551,15 +566,10 @@ void Runner::run_serial() {
     obs::count("campaign.leases");
 
     CellHooks hooks;
-    hooks.resume_train_tsv = cs.train_tsv;
+    hooks.resume_train = cs.train;
     hooks.snapshot_path = snapshot_path(cs);
-    hooks.on_trained = [&](const CellTrainResult& result) {
-      cs.train_tsv = encode_train_result(result);
-      journal_event("trained", cs, [&] {
-        util::JsonBuilder extra;
-        extra.field("train", cs.train_tsv);
-        return extra;
-      }());
+    hooks.on_trained = [&](const core::TrainReport& train) {
+      journal_trained(cs, train_json(train));
     };
     obs::MetricsSnapshot before;
     if (options_.ship_telemetry) {
@@ -670,8 +680,8 @@ void Runner::assign_ready_cells(double now) {
     obs::count("campaign.leases");
     const std::string line =
         "CELL\t" + std::to_string(cs.cell.index) + "\t" +
-        std::to_string(cs.attempts) + "\t" + encode_config(cs.cell.config) +
-        "\t" + (cs.train_tsv.empty() ? "-" : cs.train_tsv) + "\t" +
+        std::to_string(cs.attempts) + "\t" + cs.cell.config.to_json() +
+        "\t" + (cs.train.empty() ? "-" : cs.train) + "\t" +
         snapshot_path(cs) + "\n";
     if (!util::write_all(w.cmd_fd, line)) {
       // Worker died between spawn and lease; the reaper reclaims the cell.
@@ -716,12 +726,13 @@ void Runner::handle_status_line(WorkerSlot& w, const std::string& line,
     return;  // the timestamp update above is the whole point
   }
   if (f[0] == "TRAINED" && f.size() >= 3) {
-    cs->train_tsv = f[2];
-    journal_event("trained", *cs, [&] {
-      util::JsonBuilder extra;
-      extra.field("train", cs->train_tsv);
-      return extra;
-    }());
+    // Journaled raw, but only as an object: anything else would corrupt the
+    // WAL line.  A report the worker cannot read back costs a retrain.
+    util::json::Value train;
+    if (util::json::parse(f[2], train) &&
+        train.kind == util::json::Value::Kind::kObject) {
+      journal_trained(*cs, f[2]);
+    }
     return;
   }
   if (f[0] == "DONE" && f.size() >= 4) {

@@ -14,6 +14,7 @@
 #include <set>
 #include <thread>
 
+#include "campaign/specfile.hpp"
 #include "core/oracle.hpp"
 #include "core/targets.hpp"
 #include "nn/serialize.hpp"
@@ -63,34 +64,30 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
     core::TrainReport train;
     bool resumed = false;
 
-    if (!hooks.resume_train_tsv.empty() && !hooks.snapshot_path.empty()) {
+    if (!hooks.resume_train.empty() && !hooks.snapshot_path.empty()) {
       // Phase-granular resume: a previous attempt journaled its offline
       // result and snapshotted the trained parameters.  Restoring the
       // snapshot (exact f32 round-trip, CRC-checked) and adopting the
-      // hex-float-exact train report reproduces the distinguisher state an
+      // bit-exact train report reproduces the distinguisher state an
       // uninterrupted run would be in right after train() — only the
       // (deterministic) online phase is re-run.
-      CellTrainResult recorded;
-      if (decode_train_result(hooks.resume_train_tsv, recorded) &&
-          recorded.t == target->num_differences()) {
+      try {
+        const core::TrainReport recorded = read_train_json(hooks.resume_train);
         hb("resume", 0);
         auto candidate =
             std::make_unique<core::MLDistinguisher>(*target, config);
-        try {
-          nn::load_params(candidate->model(), hooks.snapshot_path);
-          candidate->adopt_train_report(recorded.report, recorded.t);
-          train = recorded.report;
-          dist = std::move(candidate);
-          resumed = true;
-          obs::count("campaign.cells_resumed");
-        } catch (const std::exception& e) {
-          // Missing or corrupt snapshot: fall back to a full (and equally
-          // deterministic) retrain.
-          obs::log_warn("campaign.worker",
-                        "snapshot restore failed; retraining")
-              .field("cell", cell.id)
-              .field("error", e.what());
-        }
+        nn::load_params(candidate->model(), hooks.snapshot_path);
+        candidate->adopt_train_report(recorded, target->num_differences());
+        train = recorded;
+        dist = std::move(candidate);
+        resumed = true;
+        obs::count("campaign.cells_resumed");
+      } catch (const std::exception& e) {
+        // An unreadable train report or a missing or corrupt snapshot:
+        // fall back to a full (and equally deterministic) retrain.
+        obs::log_warn("campaign.worker", "resume failed; retraining")
+            .field("cell", cell.id)
+            .field("error", e.what());
       }
     }
 
@@ -120,12 +117,7 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
         std::filesystem::rename(tmp, hooks.snapshot_path);
         util::fsync_parent_dir(hooks.snapshot_path);
       }
-      if (hooks.on_trained) {
-        CellTrainResult result;
-        result.report = train;
-        result.t = target->num_differences();
-        hooks.on_trained(result);
-      }
+      if (hooks.on_trained) hooks.on_trained(train);
     }
     if (!config.checkpoint_path.empty()) {
       std::error_code ec;
@@ -302,7 +294,7 @@ int worker_entry(int argc, char** argv) {
     const std::vector<std::string> f = split_tabs(line);
     std::uint64_t index = 0;
     std::uint64_t attempt_no = 0;
-    // CELL <index> <attempt> <config-record> <resume-record|-> <snapshot|->
+    // CELL <index> <attempt> <config JSON> <train JSON|-> <snapshot|->
     if (f.size() != 6 || f[0] != "CELL" ||
         util::json::parse_u64(f[1], index) != std::errc() ||
         util::json::parse_u64(f[2], attempt_no) != std::errc() ||
@@ -313,8 +305,11 @@ int worker_entry(int argc, char** argv) {
     Cell cell;
     cell.index = static_cast<std::size_t>(index);
     const int attempt = static_cast<int>(attempt_no);
-    if (!decode_config(f[3], cell.config)) {
-      send("FAIL\t" + f[1] + "\terror\tundecodable cell config");
+    try {
+      cell.config = read_config_json(f[3]);
+    } catch (const SpecError& e) {
+      send("FAIL\t" + f[1] + "\terror\tundecodable cell config: " +
+           sanitize_message(e.what()));
       continue;
     }
     cell.id = cell_id(cell.config);
@@ -348,7 +343,7 @@ int worker_entry(int argc, char** argv) {
     }
 
     CellHooks hooks;
-    hooks.resume_train_tsv = f[4] == "-" ? "" : f[4];
+    hooks.resume_train = f[4] == "-" ? "" : f[4];
     hooks.snapshot_path = f[5] == "-" ? "" : f[5];
     hooks.heartbeat = [&](const char* phase, int epoch) {
       send("HB\t" + index_text + "\t" + phase + "\t" + std::to_string(epoch));
@@ -362,8 +357,8 @@ int worker_entry(int argc, char** argv) {
         ::kill(::getpid(), SIGKILL);  // the chaos crash: no cleanup, no exit
       }
     };
-    hooks.on_trained = [&](const CellTrainResult& result) {
-      send("TRAINED\t" + index_text + "\t" + encode_train_result(result));
+    hooks.on_trained = [&](const core::TrainReport& train) {
+      send("TRAINED\t" + index_text + "\t" + train_json(train));
     };
 
     const CellOutcome outcome = run_cell(cell, hooks);

@@ -31,6 +31,7 @@
 #include <string>
 
 #include "campaign/spec.hpp"
+#include "core/distinguisher.hpp"
 
 namespace mldist::campaign {
 
@@ -40,13 +41,13 @@ struct CellHooks {
   /// `phase` is a string literal.
   std::function<void(const char* phase, int epoch)> heartbeat;
   /// Offline phase committed: the model snapshot (if snapshot_path is set)
-  /// is on disk and `result` is ready to journal.  Called once, before the
+  /// is on disk and `train` is ready to journal.  Called once, before the
   /// online phase starts.
-  std::function<void(const CellTrainResult& result)> on_trained;
+  std::function<void(const core::TrainReport& train)> on_trained;
   /// Non-empty: skip training, restore the model from snapshot_path and
-  /// adopt this encode_train_result record (falls back to a full train when
-  /// the snapshot is missing/corrupt).
-  std::string resume_train_tsv;
+  /// adopt this train_json() object (falls back to a full train when the
+  /// object does not read back or the snapshot is missing/corrupt).
+  std::string resume_train;
   /// Non-empty: where to snapshot the trained model (nn::save_params) so a
   /// later attempt can resume past the offline phase.
   std::string snapshot_path;

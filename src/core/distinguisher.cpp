@@ -218,15 +218,14 @@ TrainReport MLDistinguisher::train(const Target& target,
 
 OnlineReport MLDistinguisher::test(const Oracle& oracle,
                                    std::size_t base_inputs,
-                                   std::uint64_t seed) const {
+                                   std::optional<std::uint64_t> seed) const {
   if (t_ == 0) {
     throw std::logic_error("MLDistinguisher::test called before train");
   }
   if (oracle.num_differences() != t_) {
     throw std::invalid_argument("MLDistinguisher: oracle t mismatch");
   }
-  const std::uint64_t stream =
-      seed != 0 ? seed : (config_.seed ^ 0x0417e57ULL);
+  const std::uint64_t stream = seed.value_or(config_.seed ^ 0x0417e57ULL);
 
   obs::Span test_span("test", "core");
   test_span.arg("base_inputs", static_cast<std::uint64_t>(base_inputs));

@@ -82,9 +82,10 @@ class MLDistinguisher {
 
   /// Online phase against an unknown oracle; needs a prior train().
   /// `seed` keys the online query stream so repeated games are independent;
-  /// 0 selects a default stream derived from the construction seed.
+  /// without one the stream derives from the config's seed.  Every value,
+  /// 0 included, is a stream of its own.
   OnlineReport test(const Oracle& oracle, std::size_t base_inputs,
-                    std::uint64_t seed = 0) const;
+                    std::optional<std::uint64_t> seed = std::nullopt) const;
 
   /// Decision rule given the recorded training accuracy.
   Verdict decide(double online_accuracy, std::size_t online_samples) const;

@@ -116,7 +116,7 @@ std::string ExperimentConfig::to_json() const {
       .field("arch", arch)
       .field("epochs", epochs)
       .field("batch_size", batch_size)
-      .field("learning_rate", static_cast<double>(learning_rate))
+      .field("learning_rate", learning_rate)
       .field("validation_fraction", validation_fraction)
       .field("z_threshold", z_threshold)
       .field("seed", seed)
@@ -125,7 +125,7 @@ std::string ExperimentConfig::to_json() const {
       .field("online_base_inputs", online_base_inputs)
       .field("games", games)
       .field("max_retries", max_retries)
-      .field("lr_backoff", static_cast<double>(lr_backoff))
+      .field("lr_backoff", lr_backoff)
       .field("checkpoint_path", checkpoint_path);
   return j.str();
 }

@@ -62,8 +62,8 @@ struct ExperimentConfig {
   /// Injected faults (MLDistinguisher::train acts on the weight poison),
   /// set only by the robustness tests and the soak bench to force the
   /// recovery paths deterministically.  Off by default.  Neither this nor
-  /// health_checks is rendered by to_json() or carried by the campaign wire
-  /// codec, so cell ids never depend on them.
+  /// health_checks is rendered by to_json(), which is also what carries a
+  /// campaign cell to its worker, so cell ids never depend on them.
   util::FaultConfig faults;
 
   /// Epoch progress callback, called after every training epoch.
@@ -81,6 +81,7 @@ struct ExperimentConfig {
   std::unique_ptr<nn::Sequential> make_model(const Target& target) const;
 
   /// The config as one JSON object (hyper-parameters only, no callbacks).
+  /// Each real reads back to the same bits.
   std::string to_json() const;
 };
 

@@ -225,9 +225,8 @@ LogRecord& LogRecord::field(const char* key, std::int64_t value) {
 
 LogRecord& LogRecord::field(const char* key, double value) {
   if (!active_) return *this;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  body_ += "," + util::JsonBuilder::quote(key) + ":" + buf;
+  body_ += "," + util::JsonBuilder::quote(key) + ":" +
+           util::JsonBuilder::number(value);
   return *this;
 }
 

@@ -21,10 +21,9 @@
 //
 // Wire format (one line, no '\t' or '\n', so it frames inside the
 // tab-separated worker status protocol): records separated by 0x1e (ASCII
-// record separator), fields within a record by 0x1f (unit separator — the
-// spec.hpp codec convention; neither byte can appear in a metric name).
-// All values are decimal u64 — integers round-trip exactly, so unlike the
-// config codec no hex-float rendering is needed.
+// record separator), fields within a record by 0x1f (unit separator;
+// neither byte can appear in a metric name).  All values are decimal u64,
+// which round-trip exactly.
 //
 //   C <name> <delta>                                  counter increment
 //   G <name> <value>                                  gauge (last-write-wins)

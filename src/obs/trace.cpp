@@ -229,9 +229,7 @@ Span& Span::arg(const char* key, std::int64_t value) {
 Span& Span::arg(const char* key, double value) {
   if (!active_) return *this;
   append_key(key);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  args_ += buf;
+  args_ += util::JsonBuilder::number(value);
   return *this;
 }
 

@@ -1,7 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/log.hpp"
@@ -109,15 +107,7 @@ std::string render_classify_response(const ModelEntry& entry,
     std::vector<std::string> prob_items;
     prob_items.reserve(probs.cols());
     for (std::size_t c = 0; c < probs.cols(); ++c) {
-      // Same "%.6g"-with-null-for-nonfinite rendering as JsonBuilder, so a
-      // probability prints identically wherever it appears in an artifact.
-      char buf[64];
-      if (std::isfinite(row[c])) {
-        std::snprintf(buf, sizeof(buf), "%.6g", static_cast<double>(row[c]));
-      } else {
-        std::snprintf(buf, sizeof(buf), "null");
-      }
-      prob_items.emplace_back(buf);
+      prob_items.push_back(util::JsonBuilder::number(row[c]));
     }
     util::JsonBuilder pred;
     pred.field("class", static_cast<std::uint64_t>(best))

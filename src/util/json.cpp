@@ -13,6 +13,17 @@
 
 namespace mldist::util {
 
+namespace {
+
+template <typename Real>
+std::string render_real(Real value) {
+  if (!std::isfinite(value)) return "null";  // JSON has no NaN/Inf
+  char buf[32];  // the longest shortest double, -2.2250738585072014e-308, is 24
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+}  // namespace
+
 void JsonBuilder::key(const std::string& k) {
   if (!body_.empty()) body_ += ",";
   body_ += quote(k) + ":";
@@ -20,13 +31,13 @@ void JsonBuilder::key(const std::string& k) {
 
 JsonBuilder& JsonBuilder::field(const std::string& k, double value) {
   key(k);
-  if (std::isfinite(value)) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    body_ += buf;
-  } else {
-    body_ += "null";  // JSON has no NaN/Inf
-  }
+  body_ += number(value);
+  return *this;
+}
+
+JsonBuilder& JsonBuilder::field(const std::string& k, float value) {
+  key(k);
+  body_ += number(value);
   return *this;
 }
 
@@ -79,6 +90,10 @@ std::string JsonBuilder::array(const std::vector<std::string>& items) {
   }
   return out + "]";
 }
+
+std::string JsonBuilder::number(double value) { return render_real(value); }
+
+std::string JsonBuilder::number(float value) { return render_real(value); }
 
 std::string JsonBuilder::quote(const std::string& s) {
   std::string out = "\"";
@@ -526,6 +541,25 @@ const Value* Value::find(std::string_view key) const {
 bool Value::as_u64(std::uint64_t& out) const {
   return kind == Kind::kNumber && parse_u64(text, out) == std::errc();
 }
+
+namespace {
+
+template <typename Real>
+bool number_as(const Value& v, Real& out) {
+  if (v.kind != Value::Kind::kNumber) return false;
+  const char* last = v.text.data() + v.text.size();
+  Real parsed = 0;
+  const auto [end, ec] = std::from_chars(v.text.data(), last, parsed);
+  if (ec != std::errc() || end != last || !std::isfinite(parsed)) return false;
+  out = parsed;
+  return true;
+}
+
+}  // namespace
+
+bool Value::as_f64(double& out) const { return number_as(*this, out); }
+
+bool Value::as_f32(float& out) const { return number_as(*this, out); }
 
 const char* Value::kind_name() const {
   switch (kind) {

@@ -19,6 +19,7 @@ namespace mldist::util {
 class JsonBuilder {
  public:
   JsonBuilder& field(const std::string& key, double value);
+  JsonBuilder& field(const std::string& key, float value);
   JsonBuilder& field(const std::string& key, std::uint64_t value);
   JsonBuilder& field(const std::string& key, int value);
   JsonBuilder& field(const std::string& key, bool value);
@@ -38,6 +39,11 @@ class JsonBuilder {
   static std::string array(const std::vector<std::string>& items);
   /// Quote and escape a string as a JSON value.
   static std::string quote(const std::string& s);
+  /// The one real renderer: the shortest text that reads back to the same
+  /// bits (std::to_chars), a float as a float.  JSON has no NaN or Inf, so
+  /// those render as null.
+  static std::string number(double value);
+  static std::string number(float value);
 
  private:
   void key(const std::string& k);
@@ -89,8 +95,9 @@ namespace json {
 inline constexpr int kMaxDepth = 256;
 
 /// One parsed JSON value.  Strings are unescaped; numbers keep their raw
-/// text, so 64-bit integers survive exactly (convert with as_u64 or
-/// strtod).  Object members stay in source order, duplicates included.
+/// text, so 64-bit integers and JsonBuilder's reals survive exactly
+/// (convert with as_u64, as_f64 or as_f32).  Object members stay in source
+/// order, duplicates included.
 struct Value {
   enum class Kind : std::uint8_t {
     kNull, kBool, kNumber, kString, kArray, kObject
@@ -111,6 +118,10 @@ struct Value {
   const Value* find(std::string_view key) const;
   /// A number in JSON's unsigned-integer grammar that fits in 64 bits.
   bool as_u64(std::uint64_t& out) const;
+  /// A number the type holds: false for a literal that overflows it or
+  /// underflows it to zero, such as 1e999 or 1e-400.
+  bool as_f64(double& out) const;
+  bool as_f32(float& out) const;
   /// The value's exact bytes in `text`, the text it was parsed from.
   std::string_view span(std::string_view text) const {
     return text.substr(begin, end - begin);

@@ -1,8 +1,9 @@
 // Campaign subsystem tests (ISSUE 7, -L fault): append_jsonl multi-process
-// atomicity, grid expansion determinism, the 0x1f wire codecs, WAL replay,
-// sharded-vs-serial bitwise payload equality, chaos SIGKILL recovery, the
-// heartbeat watchdog, diverged-cell graceful degradation, supervisor
-// resume, checkpoint GC and the /runz detail provider.
+// atomicity, grid expansion determinism, the cell records' exact JSON round
+// trip, WAL replay, sharded-vs-serial bitwise payload equality, chaos
+// SIGKILL recovery, the heartbeat watchdog, diverged-cell graceful
+// degradation, supervisor resume, checkpoint GC and the /runz detail
+// provider.
 //
 // This binary doubles as its own campaign worker: main() calls
 // campaign::worker_entry first, exactly like mldist_cli, so the Supervisor
@@ -25,6 +26,7 @@
 
 #include "campaign/journal.hpp"
 #include "campaign/spec.hpp"
+#include "campaign/specfile.hpp"
 #include "campaign/supervisor.hpp"
 #include "campaign/worker.hpp"
 #include "core/checkpoint.hpp"
@@ -142,30 +144,46 @@ std::map<std::string, std::string> serial_reference(
   return read_history(dir.path());
 }
 
-/// The 0x1f record `fields` joined.
-std::string join_fields(const std::vector<std::string>& fields) {
-  std::string out;
-  for (const std::string& f : fields) {
-    if (!out.empty()) out += '\x1f';
-    out += f;
-  }
-  return out;
+/// The object `json` with member `key`'s value replaced by the JSON text
+/// `value`.
+std::string with_member(const std::string& json, const std::string& key,
+                        const std::string& value) {
+  util::json::Value object;
+  EXPECT_TRUE(util::json::parse(json, object)) << json;
+  const util::json::Value* member = object.find(key);
+  EXPECT_NE(member, nullptr) << key;
+  if (member == nullptr) return json;
+  return json.substr(0, member->begin) + value + json.substr(member->end);
 }
 
-/// `record` with its 0x1f field `index` replaced by `value`.
-std::string with_field(const std::string& record, std::size_t index,
-                       const std::string& value) {
-  std::vector<std::string> fields(1);
-  for (char c : record) {
-    if (c == '\x1f') {
-      fields.emplace_back();
-    } else {
-      fields.back() += c;
-    }
-  }
-  fields.at(index) = value;
-  return join_fields(fields);
+/// Every field to_json() renders, compared exactly.
+void expect_same_config(const core::ExperimentConfig& got,
+                        const core::ExperimentConfig& want) {
+  EXPECT_EQ(got.target, want.target);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.diff_site, want.diff_site);
+  EXPECT_EQ(got.diffs, want.diffs);
+  EXPECT_EQ(got.arch, want.arch);
+  EXPECT_EQ(got.epochs, want.epochs);
+  EXPECT_EQ(got.batch_size, want.batch_size);
+  EXPECT_EQ(got.learning_rate, want.learning_rate);
+  EXPECT_EQ(got.validation_fraction, want.validation_fraction);
+  EXPECT_EQ(got.z_threshold, want.z_threshold);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.threads, want.threads);
+  EXPECT_EQ(got.offline_base_inputs, want.offline_base_inputs);
+  EXPECT_EQ(got.online_base_inputs, want.online_base_inputs);
+  EXPECT_EQ(got.games, want.games);
+  EXPECT_EQ(got.max_retries, want.max_retries);
+  EXPECT_EQ(got.lr_backoff, want.lr_backoff);
+  EXPECT_EQ(got.checkpoint_path, want.checkpoint_path);
 }
+
+/// Values no real field may take: JSON has no NaN or infinity, 1e999 is
+/// past every type's range, and a number in a string (blank or not) is a
+/// string.
+const std::vector<std::string> kBadReals = {
+    "nan", "inf", "-inf", "1e999", "-1e999", "null", "\"0.5\"", "\" 0.5\""};
 
 // --- util::append_jsonl under multi-process concurrency --------------------
 
@@ -252,7 +270,7 @@ TEST(CampaignSpec, CellIdIgnoresCheckpointPath) {
   EXPECT_NE(campaign::cell_id(config), bare);
 }
 
-// --- wire codecs -----------------------------------------------------------
+// --- cell records: the config and train report as exact JSON -------------
 
 TEST(CampaignCodec, ConfigRoundTripsBitwise) {
   core::ExperimentConfig c;
@@ -262,8 +280,8 @@ TEST(CampaignCodec, ConfigRoundTripsBitwise) {
   c.epochs = 7;
   c.batch_size = 96;
   c.learning_rate = 1e-3f;
-  c.validation_fraction = 0.1;  // not exactly representable: the hex-float
-  c.z_threshold = std::nextafter(3.0, 4.0);  // codec must not round it
+  c.validation_fraction = 0.1;  // not exactly representable: the text
+  c.z_threshold = std::nextafter(3.0, 4.0);  // must not round it
   c.seed = 0xdeadbeefcafef00dULL;
   c.threads = 3;
   c.offline_base_inputs = 4321;
@@ -273,112 +291,120 @@ TEST(CampaignCodec, ConfigRoundTripsBitwise) {
   c.lr_backoff = 0.3f;
   c.checkpoint_path = "/tmp/cell.ckpt";
 
-  const std::string wire = campaign::encode_config(c);
-  core::ExperimentConfig d;
-  ASSERT_TRUE(campaign::decode_config(wire, d));
-  EXPECT_EQ(d.target, c.target);
-  EXPECT_EQ(d.rounds, c.rounds);
-  EXPECT_EQ(d.arch, c.arch);
-  EXPECT_EQ(d.epochs, c.epochs);
-  EXPECT_EQ(d.batch_size, c.batch_size);
-  EXPECT_EQ(d.learning_rate, c.learning_rate);
-  EXPECT_EQ(d.validation_fraction, c.validation_fraction);
-  EXPECT_EQ(d.z_threshold, c.z_threshold);
-  EXPECT_EQ(d.seed, c.seed);
-  EXPECT_EQ(d.threads, c.threads);
-  EXPECT_EQ(d.offline_base_inputs, c.offline_base_inputs);
-  EXPECT_EQ(d.online_base_inputs, c.online_base_inputs);
-  EXPECT_EQ(d.games, c.games);
-  EXPECT_EQ(d.max_retries, c.max_retries);
-  EXPECT_EQ(d.lr_backoff, c.lr_backoff);
-  EXPECT_EQ(d.checkpoint_path, c.checkpoint_path);
-  // Bitwise stability: re-encoding the decoded config is a fixed point.
-  EXPECT_EQ(campaign::encode_config(d), wire);
+  const std::string wire = c.to_json();
+  const core::ExperimentConfig d = campaign::read_config_json(wire);
+  expect_same_config(d, c);
+  // Bitwise stability: re-rendering the read config is a fixed point.
+  EXPECT_EQ(d.to_json(), wire);
 
-  EXPECT_FALSE(campaign::decode_config("", d));
-  EXPECT_FALSE(campaign::decode_config("toy\x1f" "2", d));
+  EXPECT_THROW(campaign::read_config_json(""), campaign::SpecError);
+  // A record short of keys, such as a spec file's `defaults`.
+  EXPECT_THROW(campaign::read_config_json(R"({"target":"toy","rounds":2})"),
+               campaign::SpecError);
+  EXPECT_THROW(campaign::read_config_json(
+                   with_member(wire, "seed", "1,\"extra\":1")),
+               campaign::SpecError);
 
-  // Integers take util::json::parse_u64 digits only.  Field indices:
-  // 1 rounds, 3 diffs, 5 epochs, 6 batch_size, 10 seed, 11 threads,
-  // 12 offline budget, 14 games, 15 max_retries.
-  const std::vector<std::pair<std::size_t, std::string>> rejected = {
-      {6, "-1"},                     // strtoull wrapped it to 2^64-1
-      {10, "010"},                   // base-0 strtoull read octal 8
-      {11, " 7"},                    // strtoull skipped the blank
-      {12, "+7"},
-      {14, "18446744073709551616"},  // 2^64: strtoull clamped it
-      {5, "4294967297"},             // a cast truncated it to int 1
-      {15, "2147483648"},            // INT_MAX + 1
-      {1, "-2147483649"},            // INT_MIN - 1
-      {1, "--1"},
-      {3, "0x40,-1"},
-      {3, "0x"},
+  // Integers take util::json::parse_u64 digits only.
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"batch_size", "-1"},                    // strtoull wrapped it
+      {"seed", "010"},                         // base-0 strtoull read octal 8
+      {"threads", "\" 7\""},                   // strtoull skipped the blank
+      {"offline_base_inputs", "+7"},
+      {"games", "18446744073709551616"},       // 2^64: strtoull clamped it
+      {"epochs", "4294967297"},                // a cast truncated it to 1
+      {"max_retries", "2147483648"},           // INT_MAX + 1
+      {"rounds", "-2147483649"},               // INT_MIN - 1
+      {"rounds", "--1"},
+      {"diffs", R"(["0x40","-1"])"},
+      {"diffs", R"(["0x"])"},
   };
-  for (const auto& [field, text] : rejected) {
-    EXPECT_FALSE(campaign::decode_config(with_field(wire, field, text), d))
-        << "field " << field << " = '" << text << "'";
+  for (const auto& [key, text] : rejected) {
+    EXPECT_THROW(campaign::read_config_json(with_member(wire, key, text)),
+                 campaign::SpecError)
+        << key << " = " << text;
   }
+  for (const char* key :
+       {"learning_rate", "validation_fraction", "z_threshold", "lr_backoff"}) {
+    for (const std::string& text : kBadReals) {
+      EXPECT_THROW(campaign::read_config_json(with_member(wire, key, text)),
+                   campaign::SpecError)
+          << key << " = " << text;
+    }
+  }
+  // A float field refuses a real past a float's range.
+  EXPECT_THROW(
+      campaign::read_config_json(with_member(wire, "learning_rate", "1e39")),
+      campaign::SpecError);
+
   // The ends of every range still round-trip.
   c.rounds = std::numeric_limits<int>::min();
   c.epochs = std::numeric_limits<int>::max();
   c.seed = ~0ULL;
   c.diffs = {0, ~0ULL};
-  ASSERT_TRUE(campaign::decode_config(campaign::encode_config(c), d));
-  EXPECT_EQ(d.rounds, c.rounds);
-  EXPECT_EQ(d.epochs, c.epochs);
-  EXPECT_EQ(d.seed, c.seed);
-  EXPECT_EQ(d.diffs, c.diffs);
+  expect_same_config(campaign::read_config_json(c.to_json()), c);
 }
 
 TEST(CampaignCodec, TrainResultRoundTripsBitwise) {
-  campaign::CellTrainResult r;
-  r.report.train_accuracy = 0.987654321;
-  r.report.val_accuracy = std::nextafter(0.75, 1.0);
-  r.report.train_loss = 0.0123456789;
-  r.report.samples = 12000;
-  r.report.log2_data = 13.551;
-  r.report.usable = true;
-  r.report.robustness.attempts = 2;
-  r.report.robustness.divergences = 1;
-  r.report.robustness.rollbacks = 1;
-  r.t = 2;
+  core::TrainReport r;
+  r.train_accuracy = 0.987654321;
+  r.val_accuracy = std::nextafter(0.75, 1.0);
+  r.train_loss = 0.0123456789;
+  r.samples = 12000;
+  r.log2_data = 13.551;
+  r.usable = true;
+  r.robustness.attempts = 2;
+  r.robustness.divergences = 1;
+  r.robustness.rollbacks = 1;
 
-  const std::string wire = campaign::encode_train_result(r);
-  campaign::CellTrainResult d;
-  ASSERT_TRUE(campaign::decode_train_result(wire, d));
-  EXPECT_EQ(d.report.train_accuracy, r.report.train_accuracy);
-  EXPECT_EQ(d.report.val_accuracy, r.report.val_accuracy);
-  EXPECT_EQ(d.report.train_loss, r.report.train_loss);
-  EXPECT_EQ(d.report.samples, r.report.samples);
-  EXPECT_EQ(d.report.log2_data, r.report.log2_data);
-  EXPECT_EQ(d.report.usable, r.report.usable);
-  EXPECT_EQ(d.report.robustness.attempts, r.report.robustness.attempts);
-  EXPECT_EQ(d.report.robustness.divergences, r.report.robustness.divergences);
-  EXPECT_EQ(d.report.robustness.rollbacks, r.report.robustness.rollbacks);
-  EXPECT_EQ(d.t, r.t);
-  EXPECT_EQ(campaign::encode_train_result(d), wire);
+  const std::string wire = campaign::train_json(r);
+  const core::TrainReport d = campaign::read_train_json(wire);
+  EXPECT_EQ(d.train_accuracy, r.train_accuracy);
+  EXPECT_EQ(d.val_accuracy, r.val_accuracy);
+  EXPECT_EQ(d.train_loss, r.train_loss);
+  EXPECT_EQ(d.samples, r.samples);
+  EXPECT_EQ(d.log2_data, r.log2_data);
+  EXPECT_EQ(d.usable, r.usable);
+  EXPECT_EQ(d.robustness.attempts, r.robustness.attempts);
+  EXPECT_EQ(d.robustness.divergences, r.robustness.divergences);
+  EXPECT_EQ(d.robustness.rollbacks, r.robustness.rollbacks);
+  EXPECT_EQ(campaign::train_json(d), wire);
 
-  EXPECT_FALSE(campaign::decode_train_result("not a record", d));
-  // Field indices: 3 samples, 6-8 attempts/divergences/rollbacks, 9 t.
-  const std::vector<std::pair<std::size_t, std::string>> rejected = {
-      {3, "-1"}, {3, "0x10"}, {6, "4294967298"}, {7, " 1"},
-      {8, "-2147483649"}, {9, "02"}};
-  for (const auto& [field, text] : rejected) {
-    EXPECT_FALSE(campaign::decode_train_result(with_field(wire, field, text),
-                                               d))
-        << "field " << field << " = '" << text << "'";
+  EXPECT_THROW(campaign::read_train_json("not a record"), campaign::SpecError);
+  EXPECT_THROW(campaign::read_train_json(R"("a string")"), campaign::SpecError);
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"samples", "-1"},          {"samples", "0x10"},
+      {"attempts", "4294967298"}, {"divergences", "\" 1\""},
+      {"rollbacks", "-2147483649"}, {"attempts", "02"},
+      {"usable", "1"}};
+  for (const auto& [key, text] : rejected) {
+    EXPECT_THROW(campaign::read_train_json(with_member(wire, key, text)),
+                 campaign::SpecError)
+        << key << " = " << text;
   }
-  // Ten fields exactly: a record carrying an 11th (a checkpoint accuracy
-  // nothing reads) is refused, and the worker retrains the cell.
-  const std::vector<std::string> ten = {"0x1.8p-1", "0x1.7p-1", "0x1p-4",
-                                        "12000",    "0x1.bp+3", "1",
-                                        "2",        "1",        "1",
-                                        "2"};
-  ASSERT_TRUE(campaign::decode_train_result(join_fields(ten), d));
-  EXPECT_EQ(d.report.samples, 12000u);
-  std::vector<std::string> eleven = ten;
-  eleven.push_back("0x1.7p-1");
-  EXPECT_FALSE(campaign::decode_train_result(join_fields(eleven), d));
+  for (const char* key :
+       {"train_accuracy", "val_accuracy", "train_loss", "log2_data"}) {
+    for (const std::string& text : kBadReals) {
+      EXPECT_THROW(campaign::read_train_json(with_member(wire, key, text)),
+                   campaign::SpecError)
+          << key << " = " << text;
+    }
+  }
+  // Nine keys exactly: a report carrying a tenth (a checkpoint accuracy
+  // nothing reads) or lacking one is refused, and the worker retrains.
+  const std::string nine =
+      R"({"train_accuracy":0.75,"val_accuracy":0.71875,"train_loss":0.0625,)"
+      R"("samples":12000,"log2_data":13.5,"usable":true,"attempts":2,)"
+      R"("divergences":1,"rollbacks":1})";
+  EXPECT_EQ(campaign::read_train_json(nine).samples, 12000u);
+  EXPECT_THROW(campaign::read_train_json(
+                   with_member(nine, "rollbacks", "1,\"checkpoint\":0.71875")),
+               campaign::SpecError);
+  EXPECT_THROW(campaign::read_train_json(
+                   R"({"train_accuracy":0.75,"val_accuracy":0.71875,)"
+                   R"("train_loss":0.0625,"samples":12000,"log2_data":13.5,)"
+                   R"("usable":true,"attempts":2,"divergences":1})"),
+               campaign::SpecError);
 }
 
 // --- WAL field extraction + replay ----------------------------------------
@@ -417,7 +443,7 @@ TEST(CampaignJournal, ReplayAppliesLaterRecordsOverEarlier) {
   };
   put(R"({"event":"start","campaign":"t","cells":3})");
   put(R"({"event":"lease","cell":"aaaa","index":0,"attempt":1,"worker":11})");
-  put(R"({"event":"trained","cell":"aaaa","index":0,"train":"rec-a"})");
+  put(R"({"event":"trained","cell":"aaaa","index":0,"train":{"n":1}})");
   put(R"({"event":"failed","cell":"bbbb","index":1,"attempts":4,)"
       R"("reason":"diverged"})");
   put(R"({"event":"done","cell":"cccc","index":2,"payload":{"cell":"cccc"},)"
@@ -441,6 +467,18 @@ TEST(CampaignJournal, ReplayAppliesLaterRecordsOverEarlier) {
   EXPECT_TRUE(missing.done_payload.empty());
 }
 
+TEST(CampaignJournal, TrainedRecordKeepsOnlyAnObject) {
+  TempDir dir("trained");
+  const std::string path = dir.path() + "/campaign.state.jsonl";
+  ASSERT_TRUE(util::append_jsonl(
+      path, R"({"event":"trained","cell":"aaaa","index":0,"train":"0x1p-1"})"));
+  ASSERT_TRUE(util::append_jsonl(
+      path, R"({"event":"trained","cell":"bbbb","index":1,"train": {"a": 1.5}})"));
+  const campaign::JournalState state = campaign::replay_journal(path);
+  EXPECT_EQ(state.trained.count("aaaa"), 0u);
+  EXPECT_EQ(state.trained.at("bbbb"), R"({"a": 1.5})");  // its exact bytes
+}
+
 // --- run_cell determinism + phase-granular resume --------------------------
 
 TEST(CampaignWorker, ResumeFromSnapshotReproducesPayloadBitwise) {
@@ -451,24 +489,22 @@ TEST(CampaignWorker, ResumeFromSnapshotReproducesPayloadBitwise) {
 
   campaign::CellHooks full;
   full.snapshot_path = dir.path() + "/cell.model";
-  std::string trained_tsv;
-  full.on_trained = [&](const campaign::CellTrainResult& r) {
-    trained_tsv = campaign::encode_train_result(r);
+  std::string trained;
+  full.on_trained = [&](const core::TrainReport& r) {
+    trained = campaign::train_json(r);
   };
   const campaign::CellOutcome reference = campaign::run_cell(cells[0], full);
   ASSERT_TRUE(reference.ok) << reference.fail_message;
-  ASSERT_FALSE(trained_tsv.empty());
+  ASSERT_FALSE(trained.empty());
   ASSERT_TRUE(std::filesystem::exists(full.snapshot_path));
 
   // Resume path: restore the snapshot + adopt the journaled train record,
   // re-run only the online phase.  Payload must be byte-identical.
   campaign::CellHooks resume;
   resume.snapshot_path = full.snapshot_path;
-  resume.resume_train_tsv = trained_tsv;
+  resume.resume_train = trained;
   bool retrained = false;
-  resume.on_trained = [&](const campaign::CellTrainResult&) {
-    retrained = true;
-  };
+  resume.on_trained = [&](const core::TrainReport&) { retrained = true; };
   const campaign::CellOutcome resumed = campaign::run_cell(cells[0], resume);
   ASSERT_TRUE(resumed.ok) << resumed.fail_message;
   EXPECT_FALSE(retrained) << "resume must skip the offline phase";
@@ -615,6 +651,97 @@ TEST(CampaignSupervisor, ResumeSkipsJournaledCellsWithoutDuplicates) {
   EXPECT_EQ(read_history(dir.path()), reference)
       << "a resumed campaign must end with the same payloads as one "
          "uninterrupted run";
+}
+
+TEST(CampaignSupervisor, ResumesJournaledTrainReportsThroughWorkers) {
+  // The WAL's "trained" objects cross the worker pipe: a relaunch whose
+  // journal holds a trained but unfinished cell re-runs only its online
+  // phase, in a worker, and ends with the serial payload, whatever JSON
+  // whitespace the record holds.  A "trained" record whose train is a
+  // string is ignored, and that cell retrains.
+  const campaign::CampaignSpec spec = tiny_spec(2);
+  TempDir ref_dir("trained-ref");
+  const std::map<std::string, std::string> reference =
+      serial_reference(spec, ref_dir);
+
+  // The state a supervisor leaves when it dies with both cells trained and
+  // neither done: each snapshot on disk, each train report on the WAL.
+  TempDir dir("trained-resume");
+  const std::vector<campaign::Cell> cells = campaign::expand_grid(spec);
+  std::filesystem::create_directories(dir.path() + "/cells");
+  const std::string journal = dir.path() + "/campaign.state.jsonl";
+  ASSERT_TRUE(util::append_jsonl(
+      journal, R"({"event":"start","campaign":"test-campaign","cells":2,)"
+               R"("grid":")" + campaign::grid_crc(cells) + "\"}"));
+  for (const campaign::Cell& cell : cells) {
+    campaign::CellHooks hooks;
+    hooks.snapshot_path = dir.path() + "/cells/" + cell.id + ".model";
+    std::string train;
+    hooks.on_trained = [&](const core::TrainReport& r) {
+      train = campaign::train_json(r);
+    };
+    ASSERT_TRUE(campaign::run_cell(cell, hooks).ok);
+    // Cell 0's object as another JSON writer might lay it out; cell 1's
+    // record is a string, as the retired 0x1f codec wrote it.
+    train = cell.index == 0 ? "{\t " + train.substr(1)
+                            : R"("0x1.8p-1\u001f0x1.7p-1")";
+    util::JsonBuilder record;
+    record.field("event", "trained")
+        .field("cell", cell.id)
+        .field("index", static_cast<std::uint64_t>(cell.index))
+        .raw("train", train);
+    ASSERT_TRUE(util::append_jsonl(journal, record.str()));
+  }
+
+  campaign::SupervisorOptions opt = options_for(dir, /*workers=*/2);
+  opt.cell_timeout_s = 20.0;  // a worker refusing its CELL line fails fast
+  const campaign::CampaignReport rep = campaign::Supervisor(spec, opt).run();
+  EXPECT_TRUE(rep.complete());
+  EXPECT_EQ(rep.cells_done, 2u);
+  EXPECT_EQ(rep.reclaims, 0u);
+  EXPECT_EQ(read_history(dir.path()), reference);
+
+  // Only the retrained cell journals a second "trained" record.
+  std::map<std::string, int> trained_records;
+  std::ifstream in(journal);
+  for (std::string line; std::getline(in, line);) {
+    util::json::Value record;
+    ASSERT_TRUE(util::json::parse(line, record)) << line;
+    if (record.find("event")->text == "trained") {
+      ++trained_records[record.find("cell")->text];
+    }
+  }
+  EXPECT_EQ(trained_records[cells[0].id], 1) << "cell 0 must resume";
+  EXPECT_EQ(trained_records[cells[1].id], 2) << "cell 1 must retrain";
+}
+
+TEST(CampaignSupervisor, HistoryConfigReadsBackToItsCell) {
+  // Reals no six-digit rendering keeps: every history line's config must
+  // read back to its cell's config exactly.
+  campaign::CampaignSpec spec = tiny_spec(2);
+  spec.base.learning_rate = 0.0012345678f;
+  spec.base.z_threshold = std::nextafter(2.5, 3.0);
+  TempDir dir("exact-config");
+  ASSERT_TRUE(
+      campaign::Supervisor(spec, options_for(dir, /*workers=*/0)).run()
+          .complete());
+  const std::vector<campaign::Cell> cells = campaign::expand_grid(spec);
+  std::ifstream in(dir.path() + "/history.jsonl");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line); ++lines) {
+    util::json::Value record;
+    ASSERT_TRUE(util::json::parse(line, record)) << line;
+    std::uint64_t index = 0;
+    ASSERT_TRUE(record.find("index")->as_u64(index));
+    ASSERT_LT(index, cells.size());
+    const util::json::Value* config = record.find("payload")->find("config");
+    ASSERT_NE(config, nullptr) << line;
+    const core::ExperimentConfig got =
+        campaign::read_config_json(config->span(line));
+    expect_same_config(got, cells[index].config);
+    EXPECT_EQ(campaign::cell_id(got), cells[index].id);
+  }
+  EXPECT_EQ(lines, cells.size());
 }
 
 TEST(CampaignSupervisor, StartRecordWithoutGridIsRefused) {

@@ -219,6 +219,38 @@ TEST(Distinguisher, OnlinePhaseSeparatesCipherFromRandom) {
   EXPECT_NEAR(on_random.accuracy, 0.5, 0.1);
 }
 
+/// A RandomOracle that keeps every byte it answers with, so a test can tell
+/// two online query streams apart.
+class RecordingOracle : public RandomOracle {
+ public:
+  using RandomOracle::RandomOracle;
+  void query(Xoshiro256& rng,
+             std::vector<std::vector<std::uint8_t>>& diffs) const override {
+    RandomOracle::query(rng, diffs);
+    for (const auto& d : diffs) bytes.insert(bytes.end(), d.begin(), d.end());
+  }
+  mutable std::vector<std::uint8_t> bytes;
+};
+
+TEST(Distinguisher, OnlineSeedZeroIsAStreamOfItsOwn) {
+  // Every seed, 0 included, keys a stream of its own; only no seed selects
+  // the default (`mldist_cli test --seed 0x0b5e` passes 0).
+  Xoshiro256 rng(14);
+  ExperimentConfig opt;
+  opt.threads = 1;  // the recording oracle is not thread-safe
+  MLDistinguisher dist(build_default_mlp(128, 2, rng), opt);
+  dist.adopt_train_report(TrainReport{}, 2);
+  const RecordingOracle zero(2, 16);
+  const RecordingOracle fallback(2, 16);
+  const RecordingOracle zero_again(2, 16);
+  (void)dist.test(zero, 20, 0);
+  (void)dist.test(fallback, 20);
+  (void)dist.test(zero_again, 20, 0);
+  ASSERT_FALSE(zero.bytes.empty());
+  EXPECT_NE(zero.bytes, fallback.bytes);
+  EXPECT_EQ(zero.bytes, zero_again.bytes);
+}
+
 TEST(Distinguisher, AbortsOnFullRoundGimli) {
   // Algorithm 2's abort path: at 24 rounds there is no signal, so training
   // accuracy stays at 1/t and the distinguisher reports unusable.

@@ -9,8 +9,9 @@
 //   cmake --build build-san -j && ctest --test-dir build-san -L fuzz
 //
 // Seeds: examples/paper_grid.json, the WAL and history of a one-cell serial
-// campaign, an obs trace file, classify request bodies, raw HTTP requests,
-// OBS ship records and a saved .nnb.
+// campaign and the cell config and train report its WAL carries, an obs
+// trace file, classify request bodies, raw HTTP requests, OBS ship records
+// and a saved .nnb.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -29,6 +30,7 @@
 #include "campaign/spec.hpp"
 #include "campaign/specfile.hpp"
 #include "campaign/supervisor.hpp"
+#include "core/experiment.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/model.hpp"
@@ -412,6 +414,63 @@ TEST_F(Fuzz, JournalReplay) {
       ASSERT_EQ(v.kind, util::json::Value::Kind::kObject);
     }
   }
+}
+
+TEST_F(Fuzz, CellRecords) {
+  // The fixture WAL's cell records: the "trained" event's train report and
+  // the "done" payload's config.
+  std::string config_seed;
+  std::string train_seed;
+  {
+    std::istringstream wal(state("campaign.state.jsonl"));
+    for (std::string line; std::getline(wal, line);) {
+      util::json::Value record;
+      ASSERT_TRUE(util::json::parse(line, record)) << line;
+      if (const util::json::Value* train = record.find("train")) {
+        train_seed = train->span(line);
+      }
+      if (const util::json::Value* payload = record.find("payload")) {
+        config_seed = payload->find("config")->span(line);
+      }
+    }
+  }
+  ASSERT_NO_THROW((void)campaign::read_config_json(config_seed)) << config_seed;
+  ASSERT_NO_THROW((void)campaign::read_train_json(train_seed)) << train_seed;
+
+  // Each mutant goes to both readers (a mutant of one record is a
+  // malformed record of the other).  Each must reject it, or read a value
+  // whose rendering reads back to itself.
+  const auto expect_rejection = [](const std::string& input,
+                                   const campaign::SpecError& e) {
+    ASSERT_GE(e.line(), 1) << e.what();
+    ASSERT_LE(e.line(), line_count(input)) << e.what();
+  };
+  Mutator mutator({config_seed, train_seed}, 0xf022'0009);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string input = mutator.next();
+    try {
+      const std::string json = campaign::read_config_json(input).to_json();
+      ASSERT_EQ(campaign::read_config_json(json).to_json(), json) << input;
+      ++accepted;
+    } catch (const campaign::SpecError& e) {
+      expect_rejection(input, e);
+      ++rejected;
+    }
+    try {
+      const std::string json =
+          campaign::train_json(campaign::read_train_json(input));
+      ASSERT_EQ(campaign::train_json(campaign::read_train_json(json)), json)
+          << input;
+      ++accepted;
+    } catch (const campaign::SpecError& e) {
+      expect_rejection(input, e);
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST_F(Fuzz, TraceMerge) {

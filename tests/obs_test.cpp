@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -422,6 +423,44 @@ TEST(Log, RecordsAreWellFormedJsonlWithFields) {
   EXPECT_NE(lines[0].find("\"component\":\"obs_test\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"answer\":42"), std::string::npos);
   EXPECT_NE(lines[0].find("\"ratio\":"), std::string::npos);
+}
+
+// JSON has no NaN or infinity: a log field or span arg holding one (a
+// diverging fit's train_loss with health checks off) renders null, as
+// JsonBuilder does, instead of a bare nan/inf that breaks the line.
+TEST(Log, NonFiniteRealsKeepLinesAndTracesJson) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    ScopedLogFile file("nonfinite");
+    obs::log_info("obs_test", "non-finite")
+        .field("nan", nan)
+        .field("inf", inf)
+        .field("minus_inf", -inf);
+    obs::Logger::global().flush();
+    const auto lines = file_lines(file.path());
+    ASSERT_EQ(lines.size(), 1u);
+    std::string error;
+    EXPECT_TRUE(util::json_validate(lines[0], &error)) << error << "\n"
+                                                       << lines[0];
+    EXPECT_NE(lines[0].find("\"minus_inf\":null"), std::string::npos)
+        << lines[0];
+  }
+  const auto path = std::filesystem::temp_directory_path() /
+                    "mldist_obs_test_trace_nonfinite.json";
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable(path.string());
+  {
+    obs::Span span("obs_test.nonfinite", "test");
+    span.arg("nan", nan).arg("inf", inf).arg("minus_inf", -inf);
+  }
+  std::string error;
+  ASSERT_TRUE(tracer.flush(&error)) << error;
+  tracer.disable();
+  const std::string text = read_file_text(path);
+  EXPECT_TRUE(util::json_validate(text, &error)) << error << "\n" << text;
+  EXPECT_NE(text.find("\"minus_inf\":null"), std::string::npos) << text;
+  std::filesystem::remove(path);
 }
 
 TEST(Log, LevelThresholdSuppresses) {

@@ -2,8 +2,8 @@
 // actually land (nonzero ciphertext-difference distribution, zero mask ==
 // zero difference), related-key datasets must stay invariant to worker
 // thread counts and to the sample_batch slab size, and the new diff_site /
-// diffs config fields must round-trip through the 0x1f wire codec, WAL
-// records, and the RunManifest config hash.
+// diffs config fields must round-trip through the config JSON a worker
+// reads, WAL records, and the RunManifest config hash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 
 #include "campaign/journal.hpp"
 #include "campaign/spec.hpp"
+#include "campaign/specfile.hpp"
 #include "campaign/supervisor.hpp"
 #include "campaign/worker.hpp"
 #include "core/dataset.hpp"
@@ -166,8 +167,8 @@ TEST(RelatedKey, SampleBatchSlabInvariance) {
 
 // --- config plumbing -------------------------------------------------------
 
-// diff_site + diffs through the campaign 0x1f wire codec, including the
-// empty-diffs ("target defaults") case and 64-bit hex masks.
+// diff_site + diffs through the config JSON a campaign worker reads,
+// including the empty-diffs ("target defaults") case and 64-bit hex masks.
 TEST(RelatedKey, ConfigCodecRoundTrip) {
   core::ExperimentConfig config;
   config.target = "simon";
@@ -176,18 +177,16 @@ TEST(RelatedKey, ConfigCodecRoundTrip) {
   config.diffs = {0x40ULL, 0x4000ULL, 0x8000000000000001ULL};
   config.arch = "MLP III";
   config.seed = 0xdeadbeefULL;
-  const std::string wire = campaign::encode_config(config);
-  core::ExperimentConfig decoded;
-  ASSERT_TRUE(campaign::decode_config(wire, decoded));
+  const core::ExperimentConfig decoded =
+      campaign::read_config_json(config.to_json());
   EXPECT_EQ(decoded.diff_site, "related-key");
   EXPECT_EQ(decoded.diffs, config.diffs);
   EXPECT_EQ(decoded.target, "simon");
   EXPECT_EQ(decoded.rounds, 9);
 
   config.diffs.clear();
-  core::ExperimentConfig empty_decoded;
-  ASSERT_TRUE(campaign::decode_config(campaign::encode_config(config),
-                                      empty_decoded));
+  const core::ExperimentConfig empty_decoded =
+      campaign::read_config_json(config.to_json());
   EXPECT_TRUE(empty_decoded.diffs.empty());
   EXPECT_EQ(empty_decoded.diff_site, "related-key");
 }

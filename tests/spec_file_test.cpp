@@ -100,6 +100,16 @@ TEST(SpecFile, GoldenExpansionSnapshot) {
             campaign::grid_crc(campaign::expand_grid(spec)));
 }
 
+// A cell's id is the CRC-32 of its config JSON and keys every WAL record,
+// history line and snapshot, so the committed paper grid's fingerprint must
+// not move: existing paper-grid state dirs must still resume.
+TEST(SpecFile, PaperGridFingerprintIsPinned) {
+  const std::vector<Cell> cells = campaign::expand_grid(
+      campaign::load_spec_file(MLDIST_SOURCE_DIR "/examples/paper_grid.json"));
+  EXPECT_EQ(cells.size(), 22u);
+  EXPECT_EQ(campaign::grid_crc(cells), "6d45da2d");
+}
+
 TEST(SpecFile, CostOrdersHeavyArchitecturesFirst) {
   // cell_cost drives the lease order: an LSTM cell must cost more than the
   // same-budget MLP cell, and a bigger budget more than a smaller one.
@@ -203,6 +213,20 @@ TEST(SpecFile, CellCostHandlesMalformedGohrDepth) {
   core::ExperimentConfig bogus = deep;
   bogus.arch = "gohr-net/x";
   EXPECT_GT(campaign::cell_cost(bogus), 0.0);  // fallback weight, no throw
+}
+
+TEST(SpecFile, DefaultsRejectWhatTheCampaignSets) {
+  // A cell's seed derives from the campaign seed and its index, and its
+  // checkpoint path from the state dir: `defaults` takes neither, although
+  // the cell config reader shares its mapper.
+  expect_error("{\n \"defaults\": {\n  \"seed\": 3\n },\n \"grid\": []\n}", 3,
+               "unknown key \"seed\" in defaults");
+  expect_error(
+      "{\n \"defaults\": {\n  \"checkpoint_path\": \"x\"\n },\n \"grid\": []\n}",
+      3, "unknown key \"checkpoint_path\" in defaults");
+  // A float field refuses a real past a float's range.
+  expect_error("{\n \"defaults\": {\n  \"lr_backoff\": 1e39\n },\n \"grid\": []\n}",
+               3, "\"lr_backoff\" is out of range");
 }
 
 TEST(SpecFile, SyntaxErrorsReportLine) {

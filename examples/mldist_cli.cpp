@@ -251,8 +251,6 @@ bool parse(int argc, char** argv, Args& out) {
       }
     } else if (flag == "--retries") {
       if (!util::flag_value(f, v, out.config.max_retries)) return false;
-    } else if (flag == "--checkpoint") {
-      out.config.checkpoint_path = v;
     } else if (flag == "--trace") {
       // Scoped-span tracing (obs/trace.hpp): every phase/layer/kernel span
       // of this run lands in `v` as Chrome trace_event JSON.  Equivalent to
@@ -294,8 +292,7 @@ int usage() {
                "--epochs E --model PATH\n"
                "             [--arch A] [--threads W] [--seed S] "
                "[--kernel reference|blocked|avx2]\n"
-               "             [--retries N] [--checkpoint PATH] [--json] "
-               "[--trace FILE]\n"
+               "             [--retries N] [--json] [--trace FILE]\n"
                "             [--serve-metrics PORT] [--log-level L] "
                "[--log-file FILE]\n"
                "  mldist_cli test  --target T --rounds R --samples N "

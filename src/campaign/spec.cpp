@@ -11,9 +11,7 @@
 namespace mldist::campaign {
 
 std::string cell_id(const core::ExperimentConfig& config) {
-  core::ExperimentConfig keyed = config;
-  keyed.checkpoint_path.clear();  // ids must not depend on the state dir
-  const std::string json = keyed.to_json();
+  const std::string json = config.to_json();
   const std::uint32_t crc = util::crc32(json.data(), json.size());
   char buf[9];
   std::snprintf(buf, sizeof(buf), "%08x", crc);
@@ -147,12 +145,10 @@ std::string train_json(const core::TrainReport& train) {
 std::string cell_payload_json(const Cell& cell,
                               const core::TrainReport& train,
                               const core::OnlineReport* online) {
-  core::ExperimentConfig rendered = cell.config;
-  rendered.checkpoint_path.clear();  // execution detail, not cell identity
   util::JsonBuilder j;
   j.field("cell", cell.id)
       .field("index", static_cast<std::uint64_t>(cell.index))
-      .raw("config", rendered.to_json())
+      .raw("config", cell.config.to_json())
       .raw("train", train_json(train));
   if (online != nullptr) {
     util::JsonBuilder o;

@@ -71,8 +71,7 @@ struct CampaignSpec {
 
 struct Cell {
   std::size_t index = 0;  ///< position in the expanded grid
-  /// 8-hex CRC-32 of the cell config's JSON (checkpoint_path cleared, so
-  /// the id is stable across state directories): the WAL / history /
+  /// 8-hex CRC-32 of the cell config's JSON: the WAL / history /
   /// snapshot-file key for this cell.
   std::string id;
   core::ExperimentConfig config;
@@ -84,8 +83,7 @@ struct Cell {
 /// the base config's value.
 std::vector<Cell> expand_grid(const CampaignSpec& spec);
 
-/// The stable cell id for `config` (CRC-32 of its JSON with checkpoint_path
-/// cleared).
+/// The stable cell id for `config` (CRC-32 of its JSON).
 std::string cell_id(const core::ExperimentConfig& config);
 
 /// 8-hex CRC-32 over the expanded grid's cell ids (in index order): the
@@ -105,11 +103,10 @@ double cell_cost(const core::ExperimentConfig& config);
 /// record and the WAL "trained" event, read back by read_train_json().
 std::string train_json(const core::TrainReport& train);
 
-/// The pinned per-cell result object: deterministic fields only, config
-/// rendered with checkpoint_path cleared.  Bitwise identical across worker
-/// counts, retries and crash/resume schedules.  `online` may be null (cell
-/// trained but was not usable, so Algorithm 2 aborted before the online
-/// phase).
+/// The pinned per-cell result object: deterministic fields only.  Bitwise
+/// identical across worker counts, retries and crash/resume schedules.
+/// `online` may be null (cell trained but was not usable, so Algorithm 2
+/// aborted before the online phase).
 std::string cell_payload_json(const Cell& cell,
                               const core::TrainReport& train,
                               const core::OnlineReport* online);

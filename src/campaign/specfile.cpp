@@ -25,12 +25,12 @@ namespace {
 using util::json::Value;
 
 /// ExperimentConfig::to_json()'s keys.  A spec file's `defaults` takes all
-/// but the last two, which the campaign sets per cell.
-constexpr std::array<std::string_view, 18> kConfigKeys = {
+/// but the last, which the campaign sets per cell.
+constexpr std::array<std::string_view, 17> kConfigKeys = {
     "target", "rounds", "arch", "diff_site", "diffs", "epochs", "batch_size",
     "learning_rate", "validation_fraction", "z_threshold", "threads",
     "offline_base_inputs", "online_base_inputs", "games", "max_retries",
-    "lr_backoff", "seed", "checkpoint_path"};
+    "lr_backoff", "seed"};
 constexpr std::size_t kDefaultsKeys = 16;
 
 /// train_json()'s keys.
@@ -112,7 +112,6 @@ class Mapper {
       else if (key == "max_retries") c.max_retries = as_int(m, key);
       else if (key == "lr_backoff") c.lr_backoff = as_float(m, key);
       else if (cell && key == "seed") c.seed = as_u64(m, key);
-      else if (cell && key == "checkpoint_path") c.checkpoint_path = as_string(m, key);
       else if (cell) unknown_key(m, key, "the config", join(kConfigKeys));
       else {
         unknown_key(m, key, "defaults",

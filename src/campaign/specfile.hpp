@@ -46,8 +46,8 @@ CampaignSpec parse_spec_text(const std::string& text,
 CampaignSpec load_spec_file(const std::string& path);
 
 /// A cell's config JSON, read by the `defaults` mapper.  Unlike `defaults`
-/// it takes the keys the campaign sets (seed, checkpoint_path) and needs
-/// every key.  Throws SpecError.
+/// it takes the key the campaign sets (seed) and needs every key.  Throws
+/// SpecError.
 core::ExperimentConfig read_config_json(std::string_view json);
 
 /// A train_json() object: every key and no other, reals finite.  Throws

@@ -22,7 +22,6 @@
 #include "campaign/journal.hpp"
 #include "campaign/specfile.hpp"
 #include "campaign/worker.hpp"
-#include "core/checkpoint.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -477,6 +476,10 @@ void Runner::complete_cell(CellState& cs, const std::string& payload,
     return extra;
   }());
   append_history(cs, payload, telemetry);
+  // The done record makes the snapshot dead weight: a done cell never
+  // resumes.
+  std::error_code ec;
+  std::filesystem::remove(snapshot_path(cs), ec);
   cs.phase = CellPhase::kDone;
   ++report_.cells_done;
   ++finished_;
@@ -630,29 +633,34 @@ void Runner::shutdown_workers() {
     util::close_fd(w.cmd_fd);  // EOF doubles as quit for a mid-read worker
     w.cmd_fd = -1;
   }
+  // A status pipe reaches EOF only when its worker exits, after its final
+  // OBS delta.  Drain every pipe until then: the tail OBS records keep the
+  // merged totals whole (the §16 invariance contract), and a full pipe
+  // would block the worker from ever reaching exit.
   const double deadline = mono_s() + 2.0;
+  for (;;) {
+    std::vector<pollfd> fds;
+    for (const WorkerSlot& w : workers_) {
+      if (w.pid >= 0 && w.status_fd >= 0) {
+        fds.push_back(pollfd{w.status_fd, POLLIN, 0});
+      }
+    }
+    const double left_ms = (deadline - mono_s()) * 1000.0;
+    if (fds.empty() || left_ms <= 0.0) break;
+    ::poll(fds.data(), fds.size(), static_cast<int>(std::ceil(left_ms)));
+    for (WorkerSlot& w : workers_) {
+      if (w.pid >= 0) pump_status(w, mono_s());
+    }
+  }
   for (WorkerSlot& w : workers_) {
     if (w.pid < 0) continue;
-    for (;;) {
-      // Keep draining while waiting: the quitting worker ships its final
-      // OBS delta, which could otherwise fill the pipe and block it from
-      // ever reaching exit.
-      pump_status(w, mono_s());
-      const util::ChildStatus st = util::poll_child(w.pid);
-      if (st.state != util::ChildState::kRunning) break;
-      if (mono_s() > deadline) {
-        util::kill_process(w.pid, SIGKILL);
-        util::wait_child(w.pid);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (w.status_fd >= 0) {
+      // Still open at the deadline: hung, or mid-cell past the budget.
+      util::kill_process(w.pid, SIGKILL);
+      util::close_fd(w.status_fd);
+      w.status_fd = -1;
     }
-    // Final drain after exit: without it the tail OBS records die with the
-    // pipe and the merged totals miss the last cells (breaking the §16
-    // invariance contract).
-    pump_status(w, mono_s());
-    util::close_fd(w.status_fd);
-    w.status_fd = -1;
+    util::wait_child(w.pid);
     w.pid = -1;
   }
   live_->workers.store(0);
@@ -883,14 +891,40 @@ void Runner::run_sharded() {
 }
 
 void Runner::gc_state_dir() {
-  // Completed campaign: snapshots and retry checkpoints have served their
-  // purpose; a bounded number of stragglers is kept for post-mortems.
-  core::CheckpointManager::gc_directory(cells_dir(), ".model", 0);
-  core::CheckpointManager::gc_directory(cells_dir(), ".model.ckpt", 0);
-  core::CheckpointManager::gc_directory(cells_dir(), ".tmp", 0);
+  // Completed campaign: done cells dropped their snapshots as they
+  // finished; sweep what a crash or a failed cell left behind.
+  gc_directory(cells_dir(), ".model", 0);
+  gc_directory(cells_dir(), ".tmp", 0);
 }
 
 }  // namespace
+
+std::size_t gc_directory(const std::string& dir, const std::string& suffix,
+                         std::size_t keep_newest) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  std::vector<std::pair<fs::file_time_type, fs::path>> matches;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    const std::string name = entry.path().filename().string();
+    if (name.size() < suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
+      continue;
+    }
+    matches.emplace_back(entry.last_write_time(ec), entry.path());
+  }
+  if (matches.size() <= keep_newest) return 0;
+  std::sort(matches.begin(), matches.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::size_t removed = 0;
+  for (std::size_t i = keep_newest; i < matches.size(); ++i) {
+    if (fs::remove(matches[i].second, ec)) ++removed;
+    fs::remove(matches[i].second.string() + ".tmp", ec);
+  }
+  obs::count("campaign.gc_removed", removed);
+  return removed;
+}
 
 std::string CampaignReport::to_json() const {
   util::JsonBuilder j;

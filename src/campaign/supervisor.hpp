@@ -19,6 +19,10 @@
 //              completes, with partial results if it must (graceful
 //              degradation).  FAIL reports (diverged / error) follow the
 //              same budget without costing a worker restart.
+//   shutdown   the supervisor sends QUIT and drains each status pipe until
+//              it reaches EOF, which the worker causes by exiting after its
+//              final OBS delta; a worker whose pipe is still open after 2 s
+//              is SIGKILLed.  Every worker is reaped with waitpid.
 //
 // Determinism and recovery: results are a function of the cell config only
 // (seeded per cell index — see spec.hpp), every completed cell's payload is
@@ -26,8 +30,11 @@
 // line is appended, and a relaunched supervisor replays the WAL to skip
 // finished cells, re-emit any missing history lines, and resume cells whose
 // offline phase was journaled (TRAINED + model snapshot) at the online
-// phase.  workers=0 runs every cell in-process through the identical
-// run_cell path — the serial reference the chaos tests compare against.
+// phase.  A cell's snapshot is deleted right after its "done" record and
+// history line, so the state dir holds snapshots only for cells that can
+// still resume.  workers=0 runs every cell in-process through the
+// identical run_cell path — the serial reference the chaos tests compare
+// against.
 //
 // Only one supervisor may own a state dir (flock on <state_dir>/LOCK).
 #pragma once
@@ -96,6 +103,14 @@ struct CampaignReport {
   }
   std::string to_json() const;
 };
+
+/// Delete the files under `dir` whose names end in `suffix`, keeping the
+/// `keep_newest` most recently modified; a removed file's ".tmp" sibling
+/// goes too.  Returns the number removed; best-effort (an unreadable dir
+/// counts as empty).  A completed campaign sweeps its cells/ directory
+/// with it.
+std::size_t gc_directory(const std::string& dir, const std::string& suffix,
+                         std::size_t keep_newest);
 
 class Supervisor {
  public:

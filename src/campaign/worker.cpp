@@ -52,11 +52,6 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
   };
   try {
     core::ExperimentConfig config = cell.config;
-    if (!hooks.snapshot_path.empty()) {
-      // Keep the retry checkpoints next to the snapshot (inside the state
-      // dir) instead of scattering auto temp files.
-      config.checkpoint_path = hooks.snapshot_path + ".ckpt";
-    }
     config.on_epoch = [&](const nn::EpochStats& s) { hb("fit", s.epoch); };
     const std::unique_ptr<core::Target> target = config.make_target();
 
@@ -104,7 +99,6 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
             train.robustness.last_fault.empty()
                 ? "training diverged; retries exhausted"
                 : train.robustness.last_fault);
-        std::filesystem::remove(config.checkpoint_path);
         return out;
       }
       if (!hooks.snapshot_path.empty()) {
@@ -118,11 +112,6 @@ CellOutcome run_cell(const Cell& cell, const CellHooks& hooks) {
         util::fsync_parent_dir(hooks.snapshot_path);
       }
       if (hooks.on_trained) hooks.on_trained(train);
-    }
-    if (!config.checkpoint_path.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(config.checkpoint_path, ec);
-      std::filesystem::remove(config.checkpoint_path + ".tmp", ec);
     }
 
     const core::OnlineReport* online_ptr = nullptr;

@@ -1,84 +1,57 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
-#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/json.hpp"
 
 namespace mldist::core {
+
+namespace {
+
+std::size_t value_count(nn::Sequential& model) {
+  std::size_t n = 0;
+  for (const auto& p : model.params()) n += p.size;
+  for (const auto& s : model.state()) n += s.size();
+  return n;
+}
+
+}  // namespace
 
 bool CheckpointManager::update(nn::Sequential& model, double val_accuracy) {
   obs::count("core.checkpoint.update_calls");
   if (has_checkpoint() && val_accuracy <= best_) return false;
   obs::Span span("checkpoint.update", "core");
   span.arg("val_accuracy", val_accuracy);
-  const std::string tmp = path_ + ".tmp";
-  nn::save_params(model, tmp);
-  // Durable atomic publish: fsync the tmp payload so the bytes precede the
-  // rename on stable storage, rename (a crash mid-write leaves the previous
-  // checkpoint or nothing at `path_`, never a torn file), then fsync the
-  // directory so the rename itself survives a power cut — a campaign
-  // resuming from this snapshot after the machine dies must find it.
-  util::fsync_file(tmp);
-  std::filesystem::rename(tmp, path_);
-  util::fsync_parent_dir(path_);
+  values_.resize(value_count(model));
+  float* out = values_.data();
+  for (const auto& p : model.params()) out = std::copy_n(p.value, p.size, out);
+  for (const auto& s : model.state()) out = std::copy(s.begin(), s.end(), out);
   best_ = val_accuracy;
   obs::count("core.checkpoint.updates");
   return true;
-}
-
-std::size_t CheckpointManager::gc_directory(const std::string& dir,
-                                            const std::string& suffix,
-                                            std::size_t keep_newest) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  std::vector<std::pair<fs::file_time_type, fs::path>> matches;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < suffix.size() ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-            0) {
-      continue;
-    }
-    matches.emplace_back(entry.last_write_time(ec), entry.path());
-  }
-  if (matches.size() <= keep_newest) return 0;
-  std::sort(matches.begin(), matches.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::size_t removed = 0;
-  for (std::size_t i = keep_newest; i < matches.size(); ++i) {
-    if (fs::remove(matches[i].second, ec)) ++removed;
-    fs::remove(matches[i].second.string() + ".tmp", ec);
-  }
-  obs::count("core.checkpoint.gc_removed", removed);
-  return removed;
 }
 
 void CheckpointManager::restore(nn::Sequential& model) const {
   if (!has_checkpoint()) {
     throw std::runtime_error("CheckpointManager: no checkpoint to restore");
   }
+  if (value_count(model) != values_.size()) {
+    throw std::runtime_error(
+        "CheckpointManager: the model does not match its checkpoint");
+  }
   obs::Span span("checkpoint.restore", "core");
   obs::count("core.checkpoint.restores");
-  try {
-    nn::load_params(model, path_);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("CheckpointManager: restore from " + path_ +
-                             " failed: " + e.what());
+  const float* in = values_.data();
+  for (const auto& p : model.params()) {
+    std::copy_n(in, p.size, p.value);
+    in += p.size;
   }
-}
-
-void CheckpointManager::remove_file() const {
-  std::error_code ec;
-  std::filesystem::remove(path_, ec);
-  std::filesystem::remove(path_ + ".tmp", ec);
+  for (const auto& s : model.state()) {
+    std::copy_n(in, s.size(), s.data());
+    in += s.size();
+  }
 }
 
 }  // namespace mldist::core

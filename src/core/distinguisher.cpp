@@ -1,9 +1,6 @@
 #include "core/distinguisher.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <stdexcept>
 
@@ -18,8 +15,6 @@
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-#include <unistd.h>
-
 namespace mldist::core {
 
 namespace {
@@ -31,19 +26,6 @@ constexpr std::uint64_t kOfflineTrainStream = 0x0ff1a0ULL;
 constexpr std::uint64_t kOfflineValStream = 0x0ff1a1ULL;
 constexpr std::uint64_t kShuffleStream = 0x5aff1eULL;
 constexpr std::uint64_t kBaselineStream = 0xba5e11eULL;
-
-/// A collision-free checkpoint path under the temp directory for callers
-/// that did not configure one (pid + process-local counter: concurrent
-/// trainings, in this process or in parallel ctest jobs, never clash).
-std::string auto_checkpoint_path(std::uint64_t seed) {
-  static std::atomic<unsigned> counter{0};
-  char name[96];
-  std::snprintf(name, sizeof(name), "mldist-ckpt-%llx-%d-%u.nnb",
-                static_cast<unsigned long long>(seed),
-                static_cast<int>(::getpid()),
-                counter.fetch_add(1, std::memory_order_relaxed));
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 /// The data-engine options for a phase whose chunk streams are keyed on
 /// `stream_seed`.
@@ -113,9 +95,7 @@ TrainReport MLDistinguisher::train(const Target& target,
   // Fault-tolerant fit: every attempt checkpoints its best-validation
   // epoch; a divergence rolls back to that checkpoint and retries with a
   // backed-off learning rate and a fresh shuffle stream.
-  const bool auto_ckpt = config_.checkpoint_path.empty();
-  CheckpointManager ckpt(auto_ckpt ? auto_checkpoint_path(config_.seed)
-                                   : config_.checkpoint_path);
+  CheckpointManager ckpt;
   RobustnessTelemetry rob;
   const int max_attempts = std::max(1, config_.max_retries);
   nn::EpochStats stats;
@@ -132,6 +112,7 @@ TrainReport MLDistinguisher::train(const Target& target,
     nn::FitOptions fit;
     fit.epochs = config_.epochs;
     fit.batch_size = config_.batch_size;
+    fit.threads = config_.threads;
     // Attempt 1 uses the pre-robustness shuffle stream, so clean runs stay
     // bitwise identical to earlier versions; retries draw fresh streams.
     fit.shuffle_seed = util::derive_stream_seed(
@@ -189,7 +170,7 @@ TrainReport MLDistinguisher::train(const Target& target,
   train_report_.fit.seconds = fit_timer.seconds();
   train_report_.fit.rows =
       train_set.size() * static_cast<std::size_t>(std::max(0, config_.epochs));
-  train_report_.fit.threads = util::ThreadPool::global().thread_count();
+  train_report_.fit.threads = util::ThreadPool::global().width(config_.threads);
   train_report_.seconds_per_epoch =
       config_.epochs > 0
           ? train_report_.fit.seconds / static_cast<double>(config_.epochs)
@@ -205,7 +186,6 @@ TrainReport MLDistinguisher::train(const Target& target,
                                            static_cast<double>(val_rows))),
       val_rows, util::random_guess_accuracy(t_));
   train_report_.usable = z > config_.z_threshold;
-  if (auto_ckpt) ckpt.remove_file();
   // Re-emit the report's telemetry as registry views (DESIGN.md §10): the
   // JSON built from the structs is unchanged; the metrics snapshot becomes
   // a superset of it.

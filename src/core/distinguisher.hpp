@@ -73,11 +73,11 @@ class MLDistinguisher {
 
   /// Offline phase: collect `base_inputs` queries from the cipher, train.
   /// Fault-tolerant: divergences detected by the numeric-health guard roll
-  /// the model back to the best checkpoint and retry with a backed-off
-  /// learning rate (config max_retries, lr_backoff, checkpoint_path); when
-  /// all attempts fail the
-  /// distinguisher degrades to the linear baseline classifier and the
-  /// report's robustness telemetry records the degradation.
+  /// the model back to its best in-memory checkpoint and retry with a
+  /// backed-off learning rate (config max_retries, lr_backoff); when all
+  /// attempts fail the distinguisher degrades to the linear baseline
+  /// classifier and the report's robustness telemetry records the
+  /// degradation.  The fit runs under the config's `threads` cap.
   TrainReport train(const Target& target, std::size_t base_inputs);
 
   /// Online phase against an unknown oracle; needs a prior train().

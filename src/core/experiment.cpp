@@ -125,8 +125,7 @@ std::string ExperimentConfig::to_json() const {
       .field("online_base_inputs", online_base_inputs)
       .field("games", games)
       .field("max_retries", max_retries)
-      .field("lr_backoff", lr_backoff)
-      .field("checkpoint_path", checkpoint_path);
+      .field("lr_backoff", lr_backoff);
   return j.str();
 }
 

@@ -55,7 +55,6 @@ struct ExperimentConfig {
   // --- fault tolerance (ISSUE 2) ------------------------------------------
   int max_retries = 3;       ///< fit attempts before degrading to the baseline
   float lr_backoff = 0.5f;   ///< learning-rate factor applied per retry
-  std::string checkpoint_path;  ///< empty = auto temp file, removed after train
   /// The fit-time numeric-health guard (nn::HealthMonitor at its default
   /// thresholds); off = the pre-robustness fit behaviour.
   bool health_checks = true;

@@ -102,6 +102,10 @@ std::vector<ParamView> BatchNorm::params() {
           {beta_.data(), dbeta_.data(), beta_.size()}};
 }
 
+std::vector<std::span<float>> BatchNorm::state() {
+  return {run_mean_, run_var_};
+}
+
 std::string BatchNorm::name() const {
   return "batchnorm(" + std::to_string(features_) + ")";
 }

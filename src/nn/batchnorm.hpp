@@ -16,6 +16,7 @@ class BatchNorm : public Layer {
   Mat forward(const Mat& x, bool training) override;
   Mat backward(const Mat& grad_out) override;
   std::vector<ParamView> params() override;
+  std::vector<std::span<float>> state() override;
   std::string name() const override;
   std::size_t output_size(std::size_t input_size) const override;
 

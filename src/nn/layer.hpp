@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,11 @@ class Layer {
 
   /// Trainable parameters (empty for activations).
   virtual std::vector<ParamView> params() { return {}; }
+
+  /// Non-trainable tensors that training updates (BatchNorm's running
+  /// statistics); empty for most layers.  A rollback restores them with
+  /// params().
+  virtual std::vector<std::span<float>> state() { return {}; }
 
   /// Human-readable layer description, e.g. "dense(128->1024)".
   virtual std::string name() const = 0;

@@ -215,6 +215,14 @@ std::vector<ParamView> Sequential::params() {
   return out;
 }
 
+std::vector<std::span<float>> Sequential::state() {
+  std::vector<std::span<float>> out;
+  for (auto& l : layers_) {
+    for (const auto& s : l->state()) out.push_back(s);
+  }
+  return out;
+}
+
 std::size_t Sequential::param_count() {
   std::size_t n = 0;
   for (const auto& p : params()) n += p.size;
@@ -261,6 +269,7 @@ double grad_l2_norm(const std::vector<ParamView>& params) {
 EpochStats Sequential::fit(const Dataset& train, Optimizer& opt,
                            const FitOptions& options) {
   assert(train.x.rows() == train.y.size());
+  const util::ThreadPool::ScopedCap cap(options.threads);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   const ModelMetrics& metrics = model_metrics();
   obs::Span fit_span("fit", "nn");

@@ -52,6 +52,10 @@ struct FitOptions {
   bool shuffle = true;
   std::uint64_t shuffle_seed = 0x5eedULL;
   const Dataset* validation = nullptr;  ///< optional held-out set
+  /// Pool fan-out cap for the whole fit, validation passes and the kernels'
+  /// row splits included (util::ThreadPool::ScopedCap: 0 = the whole pool,
+  /// 1 = inline).  The result does not depend on it.
+  std::size_t threads = 0;
   /// Numeric-health guard (see nn/health.hpp): when set, fit checks every
   /// mini-batch loss / gradient norm and every epoch's loss and weights,
   /// throwing TrainingDiverged on the first failure.  Non-owning; the
@@ -117,6 +121,9 @@ class Sequential {
   /// All trainable parameters, in layer order.
   std::vector<ParamView> params();
   std::size_t param_count();
+
+  /// All non-trainable state (Layer::state()), in layer order.
+  std::vector<std::span<float>> state();
 
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }

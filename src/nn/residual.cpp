@@ -37,6 +37,14 @@ std::vector<ParamView> Residual::params() {
   return out;
 }
 
+std::vector<std::span<float>> Residual::state() {
+  std::vector<std::span<float>> out;
+  for (auto& l : inner_) {
+    for (const auto& s : l->state()) out.push_back(s);
+  }
+  return out;
+}
+
 std::string Residual::name() const {
   std::string s = "residual[";
   for (std::size_t i = 0; i < inner_.size(); ++i) {

@@ -6,6 +6,7 @@ namespace mldist::util {
 
 namespace {
 thread_local bool tls_in_parallel_region = false;
+thread_local std::size_t tls_cap = 0;  // the tightest live ScopedCap, 0 = none
 
 struct RegionGuard {
   bool prev;
@@ -15,6 +16,21 @@ struct RegionGuard {
 }  // namespace
 
 bool ThreadPool::in_parallel_region() { return tls_in_parallel_region; }
+
+ThreadPool::ScopedCap::ScopedCap(std::size_t max_workers) : prev_(tls_cap) {
+  if (max_workers != 0 && (tls_cap == 0 || max_workers < tls_cap)) {
+    tls_cap = max_workers;
+  }
+}
+
+ThreadPool::ScopedCap::~ScopedCap() { tls_cap = prev_; }
+
+std::size_t ThreadPool::width(std::size_t max_workers) const {
+  std::size_t w = thread_count();
+  if (max_workers != 0) w = std::min(w, max_workers);
+  if (tls_cap != 0) w = std::min(w, tls_cap);
+  return w;
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   std::size_t n = threads;
@@ -79,8 +95,7 @@ std::size_t ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t max_workers) {
   if (n == 0) return 1;
-  std::size_t chunks = std::min(thread_count(), n);
-  if (max_workers != 0) chunks = std::min(chunks, max_workers);
+  std::size_t chunks = std::min(width(max_workers), n);
   const std::size_t per = (n + chunks - 1) / chunks;
   // Chunks past the end of a ragged partition are empty and never run.
   chunks = (n + per - 1) / per;

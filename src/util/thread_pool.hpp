@@ -4,8 +4,8 @@
 // the compute kernels (kernels::gemm's row split, kernels::conv1d_forward's
 // batch split) fan independent work out over ThreadPool::global().  Only
 // tests construct other pools: a `threads = N` option caps one call's
-// fan-out on the global pool (parallel_for's `max_workers`), it never
-// spawns threads of its own.
+// fan-out on the global pool (parallel_for's `max_workers`, or a ScopedCap
+// over a whole phase such as a fit), it never spawns threads of its own.
 //
 // parallel_for partitions [0, n) into one contiguous chunk per worker, so
 // results are bitwise independent of the worker count as long as chunks
@@ -46,9 +46,9 @@ class ThreadPool {
   std::size_t thread_count() const { return workers_.size() + 1; }
 
   /// Run body(begin, end) over a partition of [0, n) into
-  /// min(n, thread_count(), max_workers) contiguous chunks (max_workers = 0
-  /// means no cap, 1 runs inline); blocks until all chunks finish.  The
-  /// calling thread executes the first chunk itself.  Returns the number of
+  /// min(n, width(max_workers)) contiguous chunks (max_workers = 0 means no
+  /// cap, 1 runs inline); blocks until all chunks finish.  The calling
+  /// thread executes the first chunk itself.  Returns the number of
   /// chunks the range was split into: 1 when it ran inline — nested, busy
   /// pool, capped at 1 or n <= 1.
   ///
@@ -60,6 +60,26 @@ class ThreadPool {
   std::size_t parallel_for(
       std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
       std::size_t max_workers = 0);
+
+  /// Caps the fan-out of every range the constructing thread starts while
+  /// the scope lives: its own parallel_for calls and those of the kernels
+  /// it calls (kernels::gemm's row split, say).  0 adds no cap, 1 runs every
+  /// range inline.  A cap inside another keeps the tighter of the two.
+  class ScopedCap {
+   public:
+    explicit ScopedCap(std::size_t max_workers);
+    ~ScopedCap();
+    ScopedCap(const ScopedCap&) = delete;
+    ScopedCap& operator=(const ScopedCap&) = delete;
+
+   private:
+    std::size_t prev_;
+  };
+
+  /// The widest fan-out a range started on this thread can reach:
+  /// thread_count() under `max_workers` (0 = no cap) and the thread's
+  /// ScopedCap.
+  std::size_t width(std::size_t max_workers = 0) const;
 
   /// Process-wide pool (lazily constructed, sized to the hardware, never
   /// destroyed).

@@ -1,9 +1,9 @@
 // Campaign subsystem tests (ISSUE 7, -L fault): append_jsonl multi-process
 // atomicity, grid expansion determinism, the cell records' exact JSON round
 // trip, WAL replay, sharded-vs-serial bitwise payload equality, chaos
-// SIGKILL recovery, the heartbeat watchdog, diverged-cell graceful
-// degradation, supervisor resume, checkpoint GC and the /runz detail
-// provider.
+// SIGKILL recovery, the heartbeat watchdog, the shutdown deadline,
+// diverged-cell graceful degradation, supervisor resume, snapshot lifetime
+// and state-dir GC, and the /runz detail provider.
 //
 // This binary doubles as its own campaign worker: main() calls
 // campaign::worker_entry first, exactly like mldist_cli, so the Supervisor
@@ -29,7 +29,6 @@
 #include "campaign/specfile.hpp"
 #include "campaign/supervisor.hpp"
 #include "campaign/worker.hpp"
-#include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -176,7 +175,6 @@ void expect_same_config(const core::ExperimentConfig& got,
   EXPECT_EQ(got.games, want.games);
   EXPECT_EQ(got.max_retries, want.max_retries);
   EXPECT_EQ(got.lr_backoff, want.lr_backoff);
-  EXPECT_EQ(got.checkpoint_path, want.checkpoint_path);
 }
 
 /// Values no real field may take: JSON has no NaN or infinity, 1e999 is
@@ -261,11 +259,9 @@ TEST(CampaignSpec, GridExpansionIsDeterministic) {
   EXPECT_EQ(ids.size(), a.size()) << "cell ids must be unique across the grid";
 }
 
-TEST(CampaignSpec, CellIdIgnoresCheckpointPath) {
+TEST(CampaignSpec, CellIdFollowsTheConfig) {
   core::ExperimentConfig config;
   const std::string bare = campaign::cell_id(config);
-  config.checkpoint_path = "/somewhere/else/state.ckpt";
-  EXPECT_EQ(campaign::cell_id(config), bare);
   config.rounds += 1;
   EXPECT_NE(campaign::cell_id(config), bare);
 }
@@ -289,7 +285,6 @@ TEST(CampaignCodec, ConfigRoundTripsBitwise) {
   c.games = 5;
   c.max_retries = 2;
   c.lr_backoff = 0.3f;
-  c.checkpoint_path = "/tmp/cell.ckpt";
 
   const std::string wire = c.to_json();
   const core::ExperimentConfig d = campaign::read_config_json(wire);
@@ -593,6 +588,69 @@ TEST(CampaignSupervisor, WatchdogReclaimsHungWorker) {
   EXPECT_GT(rep.reclaim_latency_ns_mean, 0.0);
 }
 
+// --- supervisor: shutdown deadline ----------------------------------------
+
+TEST(CampaignSupervisor, ShutdownKillsAWorkerThatNeverQuits) {
+  // Cell 0's first lease hangs, and the watchdog is a minute away: when the
+  // leg stops after one cell, only the shutdown's 2 s deadline can end the
+  // hung worker.
+  const campaign::CampaignSpec spec = tiny_spec(2);
+  TempDir dir("shutdown");
+  {
+    ScopedEnv chaos("MLDIST_CHAOS_HANG", "0:1");
+    campaign::SupervisorOptions opt = options_for(dir, /*workers=*/2);
+    opt.cell_timeout_s = 60.0;
+    opt.stop_after_cells = 1;
+    const auto t0 = std::chrono::steady_clock::now();
+    const campaign::CampaignReport rep = campaign::Supervisor(spec, opt).run();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    EXPECT_TRUE(rep.interrupted);
+    EXPECT_EQ(rep.cells_done, 1u);
+    EXPECT_GE(seconds, 2.0);
+    EXPECT_LT(seconds, 15.0);
+  }
+  // The relaunch finishes the hung cell; history names each cell once.
+  const campaign::CampaignReport rep =
+      campaign::Supervisor(spec, options_for(dir, /*workers=*/2)).run();
+  EXPECT_TRUE(rep.complete());
+  EXPECT_EQ(rep.cells_skipped, 1u);
+  EXPECT_EQ(rep.cells_done, 1u);
+  EXPECT_EQ(count_lines(dir.path() + "/history.jsonl"), 2u);
+  EXPECT_EQ(read_history(dir.path()).size(), 2u);
+}
+
+// --- supervisor: a done cell's snapshot goes with its done record ----------
+
+TEST(CampaignSupervisor, DoneCellsLeaveNoSnapshot) {
+  const campaign::CampaignSpec spec = tiny_spec(4);
+  TempDir serial_dir("snapshot-ref");
+  const std::map<std::string, std::string> reference =
+      serial_reference(spec, serial_dir);
+
+  TempDir dir("snapshot");
+  {
+    campaign::SupervisorOptions opt = options_for(dir, /*workers=*/2);
+    opt.stop_after_cells = 2;
+    EXPECT_TRUE(campaign::Supervisor(spec, opt).run().interrupted);
+  }
+  const campaign::JournalState journal =
+      campaign::replay_journal(dir.path() + "/campaign.state.jsonl");
+  EXPECT_GE(journal.done_payload.size(), 2u);
+  for (const auto& [id, payload] : journal.done_payload) {
+    EXPECT_FALSE(
+        std::filesystem::exists(dir.path() + "/cells/" + id + ".model"))
+        << "cell " << id << " is done but kept its snapshot";
+  }
+
+  const campaign::CampaignReport rep =
+      campaign::Supervisor(spec, options_for(dir, /*workers=*/2)).run();
+  EXPECT_TRUE(rep.complete());
+  EXPECT_EQ(rep.cells_failed, 0u);
+  EXPECT_EQ(read_history(dir.path()), reference);
+}
+
 // --- supervisor: diverged cells fail gracefully ----------------------------
 
 TEST(CampaignSupervisor, DivergedCellFailsGracefullyOthersComplete) {
@@ -780,7 +838,7 @@ TEST(CampaignSupervisor, RequiresStateDir) {
   EXPECT_THROW(sup.run(), std::invalid_argument);
 }
 
-// --- checkpoint GC ---------------------------------------------------------
+// --- state-dir GC ----------------------------------------------------------
 
 TEST(CheckpointGc, KeepsNewestRemovesRestAndTmpSiblings) {
   TempDir dir("gc");
@@ -802,14 +860,13 @@ TEST(CheckpointGc, KeepsNewestRemovesRestAndTmpSiblings) {
   std::filesystem::last_write_time(dir.path() + "/c.model",
                                    now - std::chrono::seconds(1));
   const std::size_t removed =
-      core::CheckpointManager::gc_directory(dir.path(), ".model",
-                                            /*keep_newest=*/1);
+      campaign::gc_directory(dir.path(), ".model", /*keep_newest=*/1);
   EXPECT_EQ(removed, 2u);
   EXPECT_TRUE(std::filesystem::exists(dir.path() + "/c.model"));
   EXPECT_FALSE(std::filesystem::exists(dir.path() + "/a.model"));
   EXPECT_FALSE(std::filesystem::exists(dir.path() + "/b.model"));
   EXPECT_TRUE(std::filesystem::exists(dir.path() + "/keep.other"));
-  // The tmp sibling of a *removed* checkpoint goes with it.
+  // The tmp sibling of a *removed* snapshot goes with it.
   EXPECT_FALSE(std::filesystem::exists(dir.path() + "/a.model.tmp"));
 }
 

@@ -8,7 +8,8 @@
 //   * nested parallel_for calls run inline instead of deadlocking;
 //   * concurrent GEMMs on per-thread pack panels stay bitwise equal to the
 //     reference kernel;
-//   * a full MLDistinguisher::train is reproducible across thread counts.
+//   * a full MLDistinguisher::train is reproducible across thread counts,
+//     and a fit capped at one thread equals one on the whole pool.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "core/dataset.hpp"
 #include "core/distinguisher.hpp"
 #include "core/experiment.hpp"
@@ -271,6 +273,44 @@ TEST(ParallelTrain, TrainReportIdenticalAcrossThreadSettings) {
   EXPECT_EQ(a.val_accuracy, b.val_accuracy);
   EXPECT_EQ(a.train_loss, b.train_loss);
   EXPECT_EQ(a.samples, b.samples);
+}
+
+TEST(ParallelTrain, FitCappedAtOneThreadMatchesTheWholePool) {
+  // default-mlp's 128x1024 layer at batch 128 is above the GEMM split
+  // threshold, so an uncapped fit splits rows over the pool and a
+  // threads=1 fit runs every product inline.
+  struct Run {
+    core::TrainReport report;
+    std::vector<float> weights;
+  };
+  const auto run = [](std::size_t threads) {
+    core::ExperimentConfig config;
+    config.target = "gimli-hash";
+    config.rounds = 2;
+    config.epochs = 2;
+    config.seed = 78;
+    config.threads = threads;
+    const auto target = config.make_target();
+    core::MLDistinguisher dist(*target, config);
+    Run r;
+    r.report = dist.train(*target, 600);
+    for (const auto& p : dist.model().params()) {
+      r.weights.insert(r.weights.end(), p.value, p.value + p.size);
+    }
+    return r;
+  };
+  const Run capped = run(1);
+  const Run whole = run(0);
+  ASSERT_EQ(capped.weights.size(), whole.weights.size());
+  EXPECT_EQ(std::memcmp(capped.weights.data(), whole.weights.data(),
+                        capped.weights.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(campaign::train_json(capped.report),
+            campaign::train_json(whole.report));
+  EXPECT_EQ(capped.report.fit.rows, whole.report.fit.rows);
+  EXPECT_EQ(capped.report.fit.threads, 1u);
+  EXPECT_EQ(whole.report.fit.threads,
+            util::ThreadPool::global().thread_count());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "core/model_io.hpp"
 #include "core/oracle.hpp"
 #include "core/targets.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
 #include "nn/health.hpp"
 #include "util/crc32.hpp"
@@ -103,8 +104,7 @@ TEST(CheckpointManager, KeepsBestAndRestores) {
   util::Xoshiro256 rng(2);
   nn::Sequential model;
   model.add(std::make_unique<nn::Dense>(3, 2, rng));
-  const std::string path = temp_path("ckpt.nnb");
-  core::CheckpointManager ckpt(path);
+  core::CheckpointManager ckpt;
   EXPECT_FALSE(ckpt.has_checkpoint());
   EXPECT_THROW(ckpt.restore(model), std::runtime_error);
 
@@ -117,13 +117,38 @@ TEST(CheckpointManager, KeepsBestAndRestores) {
 
   ckpt.restore(model);
   EXPECT_FLOAT_EQ(model.params().front().value[0], best_w);
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));  // atomic publish
+}
 
-  // A corrupted checkpoint is detected at restore time via the CRC footer.
-  core::flip_file_bit(path, std::filesystem::file_size(path) - 12, 3);
-  EXPECT_THROW(ckpt.restore(model), std::runtime_error);
-  ckpt.remove_file();
-  EXPECT_FALSE(std::filesystem::exists(path));
+TEST(CheckpointManager, RestoresBatchNormRunningStatistics) {
+  // BatchNorm's running mean and variance are state, not params: a
+  // rollback must put them back with the weights, bit for bit.
+  util::Xoshiro256 rng(3);
+  nn::Sequential model;
+  model.add(std::make_unique<nn::Dense>(4, 3, rng));
+  auto bn_layer = std::make_unique<nn::BatchNorm>(3);
+  const nn::BatchNorm* bn = bn_layer.get();
+  model.add(std::move(bn_layer));
+  nn::Mat x(8, 4);
+  for (std::size_t i = 0; i < 8 * 4; ++i) {
+    x.data()[i] = static_cast<float>(i % 5) - 2.0f;
+  }
+  (void)model.forward(x, /*training=*/true);  // moves the statistics
+  const std::vector<float> mean = bn->running_mean();
+  const std::vector<float> var = bn->running_var();
+
+  core::CheckpointManager ckpt;
+  ASSERT_TRUE(ckpt.update(model, 0.9));
+  for (const auto& s : model.state()) {
+    std::fill(s.begin(), s.end(), std::numeric_limits<float>::quiet_NaN());
+  }
+  ckpt.restore(model);
+  EXPECT_EQ(bn->running_mean(), mean);
+  EXPECT_EQ(bn->running_var(), var);
+
+  // A model of another shape does not take the copy.
+  nn::Sequential other;
+  other.add(std::make_unique<nn::Dense>(4, 3, rng));
+  EXPECT_THROW(ckpt.restore(other), std::runtime_error);
 }
 
 // --- corrupt model files through save_model/load_model --------------------
@@ -296,6 +321,36 @@ TEST(RetryPolicy, ForcedNaNRecoversViaRollbackAndBackoff) {
   const core::CipherOracle oracle(*target);
   const core::OnlineReport online = dist.test(oracle, 300);
   EXPECT_EQ(online.verdict, core::Verdict::kCipher);
+}
+
+TEST(RetryPolicy, GohrNetRollbackRestoresRunningStatistics) {
+  // A residual BatchNorm net: the NaN weight poisons the running statistics
+  // of the diverging epoch too, so a rollback that restored only params()
+  // left the retry predicting from NaN statistics (val 0.5, unusable).
+  core::ExperimentConfig config;
+  config.target = "speck";
+  config.rounds = 3;
+  config.arch = "gohr-net/1";
+  config.epochs = 4;
+  config.seed = 99;
+  config.threads = 1;
+  const auto target = config.make_target();
+
+  config.faults.poison_weight_epoch = 2;
+  config.faults.poison_max_attempts = 1;
+
+  core::MLDistinguisher dist(*target, config);
+  const core::TrainReport rep = dist.train(*target, 2000);
+  EXPECT_EQ(rep.robustness.attempts, 2);
+  EXPECT_EQ(rep.robustness.rollbacks, 1);
+  EXPECT_FALSE(rep.robustness.degraded_to_baseline);
+  EXPECT_TRUE(rep.usable);
+  EXPECT_GT(rep.val_accuracy, 0.9);
+  for (const auto& s : dist.model().state()) {
+    for (const float v : s) ASSERT_TRUE(std::isfinite(v));
+  }
+  const core::CipherOracle oracle(*target);
+  EXPECT_EQ(dist.test(oracle, 500).verdict, core::Verdict::kCipher);
 }
 
 TEST(RetryPolicy, ExhaustedRetriesDegradeToLinearBaseline) {

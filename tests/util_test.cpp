@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <thread>
 
+#include "kernels/gemm.hpp"
+#include "obs/metrics.hpp"
 #include "util/bits.hpp"
 #include "util/flags.hpp"
 #include "util/hex.hpp"
@@ -552,6 +554,69 @@ TEST(ThreadPool, MaxWorkersCapsTheFanOut) {
                               },
                               1),
             1u);
+}
+
+// A ScopedCap limits every range its thread starts, kernels' included, and
+// ends with its scope.
+TEST(ThreadPool, ScopedCapLimitsEveryRangeItsThreadStarts) {
+  ThreadPool& pool = ThreadPool::global();
+  const auto chunks = [&] {
+    return pool.parallel_for(100, [](std::size_t, std::size_t) {});
+  };
+  const std::size_t uncapped = chunks();
+  EXPECT_EQ(uncapped, std::min<std::size_t>(pool.thread_count(), 100));
+  {
+    const ThreadPool::ScopedCap cap(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EQ(pool.width(), 1u);
+    EXPECT_EQ(pool.parallel_for(100,
+                                [&](std::size_t b, std::size_t e) {
+                                  EXPECT_EQ(b, 0u);
+                                  EXPECT_EQ(e, 100u);
+                                  EXPECT_EQ(std::this_thread::get_id(),
+                                            caller);
+                                }),
+              1u);
+    // An inner cap cannot widen an outer one.
+    const ThreadPool::ScopedCap wider(4);
+    EXPECT_EQ(chunks(), 1u);
+  }
+  {
+    const ThreadPool::ScopedCap cap(2);
+    EXPECT_LE(chunks(), 2u);
+    EXPECT_LE(pool.width(8), 2u);
+  }
+  EXPECT_EQ(chunks(), uncapped);  // the cap ended with its scope
+
+  // kernels::gemm splits its rows over the pool above kParallelThreshold;
+  // each row chunk is one gemm_impl call on the kernels.gemm.calls.*
+  // counters.
+  constexpr std::size_t m = 64, k = 128, n = 128;
+  static_assert(m * k * n >= mldist::kernels::kParallelThreshold);
+  std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f), c(m * n);
+  const auto gemm_chunks = [&] {
+    const auto calls = [] {
+      std::uint64_t total = 0;
+      for (const auto& [name, value] :
+           mldist::obs::MetricsRegistry::global().snapshot().counters) {
+        if (name.rfind("kernels.gemm.calls.", 0) == 0) total += value;
+      }
+      return total;
+    };
+    const std::uint64_t before = calls();
+    mldist::kernels::gemm(a.data(), k, 1, b.data(), n, 1, c.data(), m, k, n);
+    return calls() - before;
+  };
+  EXPECT_EQ(gemm_chunks(), std::min(uncapped, m));
+  {
+    const ThreadPool::ScopedCap cap(1);
+    EXPECT_EQ(gemm_chunks(), 1u);
+  }
+  {
+    const ThreadPool::ScopedCap cap(2);
+    EXPECT_LE(gemm_chunks(), 2u);
+  }
+  EXPECT_EQ(c[0], 0.5f * 0.25f * static_cast<float>(k));
 }
 
 // A caller that finds the pool running another caller's range runs its

@@ -192,10 +192,7 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
             micro(kc, ap, bp, acc);
 
             for (std::size_t r = 0; r < mr; ++r) {
-              float* c_row = c + (i0 + r) * n + j0;
-              for (std::size_t j = 0; j < nr; ++j) {
-                c_row[j] = apply_epilogue(acc[r * kNR + j], ep, j0 + j);
-              }
+              epilogue_row(acc + r * kNR, c + (i0 + r) * n + j0, nr, ep, j0);
             }
           }
         }

@@ -15,6 +15,14 @@
 // is value-preserving for floats), so each output element sees the exact
 // k-ascending fma chain the reference kernel computes.  Zero-padded lanes
 // only ever combine finite packed values, never touch C, and are discarded.
+//
+// Epilogues: apply_epilogue is the per-element specification (the
+// reference kernel and the small-shape bypass call it).  epilogue_row
+// applies the same stages to a run of outputs with the stage choice made
+// once per call, as one of twelve (bias?, norm?, activation) loop bodies
+// that GCC vectorizes; the blocked store-back and norm_act_inplace use it.
+// Each element sees apply_epilogue's operations in its order, and the
+// library builds with -ffp-contract=off, so both are bitwise equal.
 #pragma once
 
 #include <cmath>
@@ -45,7 +53,7 @@ inline float apply_epilogue(float v, const GemmEpilogue& ep, std::size_t j) {
     v = ep.norm_gamma[j] * ((v - ep.norm_mean[j]) / ep.norm_std[j]) +
         ep.norm_beta[j];
   }
-  // Branch shape matches nn::ReLU / nn::LeakyReLU::forward exactly (only
+  // The test matches nn::ReLU / nn::LeakyReLU::forward exactly (only
   // v < 0 is rewritten), so the fused epilogue is bitwise identical to the
   // separate activation layer for every input, including -0 and NaN.
   switch (ep.act) {
@@ -59,6 +67,60 @@ inline float apply_epilogue(float v, const GemmEpilogue& ep, std::size_t j) {
       break;
   }
   return v;
+}
+
+// One (bias?, norm?, activation) variant of epilogue_row.  The ReLU stages
+// are selects on the same `v < 0` test as apply_epilogue's branches, which
+// keeps NaN and -0 untouched and lets the loop vectorize.
+template <bool kBias, bool kNorm, Activation kAct>
+void epilogue_row_as(const float* in, float* out, std::size_t count,
+                     const GemmEpilogue& ep, std::size_t j0) {
+  const float* bias = kBias ? ep.bias + j0 : nullptr;
+  const float* mean = kNorm ? ep.norm_mean + j0 : nullptr;
+  const float* sd = kNorm ? ep.norm_std + j0 : nullptr;
+  const float* gamma = kNorm ? ep.norm_gamma + j0 : nullptr;
+  const float* beta = kNorm ? ep.norm_beta + j0 : nullptr;
+  const float alpha = ep.alpha;
+  for (std::size_t j = 0; j < count; ++j) {
+    float v = in[j];
+    if constexpr (kBias) v += bias[j];
+    if constexpr (kNorm) v = gamma[j] * ((v - mean[j]) / sd[j]) + beta[j];
+    if constexpr (kAct == Activation::kRelu) v = v < 0.0f ? 0.0f : v;
+    if constexpr (kAct == Activation::kLeakyRelu) v = v < 0.0f ? v * alpha : v;
+    out[j] = v;
+  }
+}
+
+template <bool kBias, bool kNorm>
+void epilogue_row_act(const float* in, float* out, std::size_t count,
+                      const GemmEpilogue& ep, std::size_t j0) {
+  switch (ep.act) {
+    case Activation::kNone:
+      return epilogue_row_as<kBias, kNorm, Activation::kNone>(in, out, count,
+                                                              ep, j0);
+    case Activation::kRelu:
+      return epilogue_row_as<kBias, kNorm, Activation::kRelu>(in, out, count,
+                                                              ep, j0);
+    case Activation::kLeakyRelu:
+      return epilogue_row_as<kBias, kNorm, Activation::kLeakyRelu>(
+          in, out, count, ep, j0);
+  }
+}
+
+// out[j] = apply_epilogue(in[j], ep, j0 + j) for j < count, bitwise.  `in`
+// may equal `out` (an in-place pass) but must not overlap it otherwise.
+inline void epilogue_row(const float* in, float* out, std::size_t count,
+                         const GemmEpilogue& ep, std::size_t j0) {
+  if (ep.bias != nullptr) {
+    if (ep.norm_mean != nullptr) {
+      return epilogue_row_act<true, true>(in, out, count, ep, j0);
+    }
+    return epilogue_row_act<true, false>(in, out, count, ep, j0);
+  }
+  if (ep.norm_mean != nullptr) {
+    return epilogue_row_act<false, true>(in, out, count, ep, j0);
+  }
+  epilogue_row_act<false, false>(in, out, count, ep, j0);
 }
 
 // Shared by reference and the small-shape bypass: one output element as the

@@ -18,9 +18,7 @@ void norm_act_inplace(float* c, std::size_t rows, std::size_t cols,
       .arg("cols", static_cast<std::uint64_t>(cols));
   for (std::size_t i = 0; i < rows; ++i) {
     float* row = c + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      row[j] = detail::apply_epilogue(row[j], epilogue, j);
-    }
+    detail::epilogue_row(row, row, cols, epilogue, 0);
   }
 }
 

@@ -8,7 +8,10 @@
 //
 // All stages are single exactly-rounded IEEE ops per element, so there is
 // one implementation and it is bitwise deterministic under every dispatch
-// backend — no per-Impl variants needed.
+// backend — no per-Impl variants needed.  Each row is one call of the
+// blocked GEMM store-back's epilogue row (detail::epilogue_row in
+// gemm_internal.hpp): the stage choice is made once per row and the row
+// runs as vector code, bitwise equal to apply_epilogue per element.
 #pragma once
 
 #include <cstddef>

@@ -193,7 +193,12 @@ std::vector<int> Sequential::predict(const Mat& x, std::size_t batch_size,
   obs::MetricsRegistry::global().add(model_metrics().predict_rows, n);
   const std::size_t bs = std::max<std::size_t>(1, batch_size);
   const std::size_t batches = (n + bs - 1) / bs;
-  if (batches <= 1) return argmax_rows(forward(x));
+  if (batches <= 1) {
+    // One batch runs here, not in a pool region, so the cap must reach the
+    // kernels' row splits through the thread's ScopedCap.
+    const util::ThreadPool::ScopedCap cap(threads);
+    return argmax_rows(forward(x));
+  }
 
   std::vector<int> out(n);
   util::ThreadPool::global().parallel_for(batches, [&](std::size_t b0, std::size_t b1) {

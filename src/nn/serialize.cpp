@@ -5,7 +5,9 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "util/crc32.hpp"
 
@@ -16,12 +18,19 @@ namespace {
 // the lowered inference graph's op kinds, edges, and shapes.  Tensor
 // count/shape checks catch most architecture mismatches by accident; the
 // hash pins the structure itself, so e.g. two different layer orders with
-// identical parameter shapes cannot swap files.
-constexpr char kMagic[4] = {'N', 'N', 'B', '2'};
+// identical parameter shapes cannot swap files.  NNB3 added the state
+// tensors (BatchNorm's running statistics); NNB2 files are refused.
+constexpr char kMagic[4] = {'N', 'N', 'B', '3'};
 // CRC footer appended after the tensors: kCrcMagic + uint32 CRC-32 of every
 // payload byte before the footer.
 constexpr char kCrcMagic[4] = {'C', 'R', 'C', '1'};
+
+std::vector<std::span<float>> param_tensors(Sequential& model) {
+  std::vector<std::span<float>> out;
+  for (const ParamView& p : model.params()) out.emplace_back(p.value, p.size);
+  return out;
 }
+}  // namespace
 
 void save_params(Sequential& model, std::ostream& out) {
   util::Crc32 crc;
@@ -32,14 +41,17 @@ void save_params(Sequential& model, std::ostream& out) {
   put(kMagic, sizeof(kMagic));
   const std::uint32_t topo = model.topology_hash();
   put(&topo, sizeof(topo));
-  const auto params = model.params();
-  const std::uint32_t count = static_cast<std::uint32_t>(params.size());
-  put(&count, sizeof(count));
-  for (const auto& p : params) {
-    const std::uint64_t size = p.size;
-    put(&size, sizeof(size));
-    put(p.value, size * sizeof(float));
-  }
+  const auto put_tensors = [&](const std::vector<std::span<float>>& tensors) {
+    const std::uint32_t count = static_cast<std::uint32_t>(tensors.size());
+    put(&count, sizeof(count));
+    for (const std::span<float> t : tensors) {
+      const std::uint64_t size = t.size();
+      put(&size, sizeof(size));
+      put(t.data(), size * sizeof(float));
+    }
+  };
+  put_tensors(param_tensors(model));
+  put_tensors(model.state());
   out.write(kCrcMagic, sizeof(kCrcMagic));
   const std::uint32_t sum = crc.value();
   out.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
@@ -67,21 +79,24 @@ void load_params(Sequential& model, std::istream& in) {
         std::to_string(topo) + ", model graph hash " +
         std::to_string(expect) + ")");
   }
-  std::uint32_t count = 0;
-  get(&count, sizeof(count));
-  const auto params = model.params();
-  if (!in || count != params.size()) {
-    throw std::runtime_error("load_params: tensor count mismatch");
-  }
-  for (const auto& p : params) {
-    std::uint64_t size = 0;
-    get(&size, sizeof(size));
-    if (!in || size != p.size) {
-      throw std::runtime_error("load_params: tensor shape mismatch");
+  const auto get_tensors = [&](const std::vector<std::span<float>>& tensors) {
+    std::uint32_t count = 0;
+    get(&count, sizeof(count));
+    if (!in || count != tensors.size()) {
+      throw std::runtime_error("load_params: tensor count mismatch");
     }
-    get(p.value, size * sizeof(float));
-    if (!in) throw std::runtime_error("load_params: truncated stream");
-  }
+    for (const std::span<float> t : tensors) {
+      std::uint64_t size = 0;
+      get(&size, sizeof(size));
+      if (!in || size != t.size()) {
+        throw std::runtime_error("load_params: tensor shape mismatch");
+      }
+      get(t.data(), size * sizeof(float));
+      if (!in) throw std::runtime_error("load_params: truncated stream");
+    }
+  };
+  get_tensors(param_tensors(model));
+  get_tensors(model.state());
   // Integrity footer: must be present, and its checksum must match the
   // payload just read.
   char footer[4];

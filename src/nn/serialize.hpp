@@ -2,14 +2,19 @@
 //
 // The paper stores the trained Keras model in an ".h5" file between the
 // offline and online phases; our equivalent is a compact binary ".nnb"
-// format holding every parameter tensor in layer order.  Loading requires a
+// format holding every parameter tensor and every state tensor (BatchNorm's
+// running mean and variance, Sequential::state()) in layer order, so a
+// reloaded model predicts exactly as the saved one did.  Loading requires a
 // structurally identical model (same layer stack); shapes are verified.
 //
-// Format: magic "NNB2" | u32 topology hash | u32 tensor_count | per tensor:
-//         u64 size | f32[size] | footer "CRC1" | u32 crc32-of-payload.
-// load_params rejects a file whose magic, topology hash, tensor shapes or
-// CRC-32 footer (util/crc32) do not match, including one cut short at any
-// byte.
+// Format (NNB3):
+//   magic "NNB3" | u32 topology hash
+//   | u32 param_count | per param tensor: u64 size | f32[size]
+//   | u32 state_count | per state tensor: u64 size | f32[size]
+//   | footer "CRC1" | u32 crc32 of every byte before the footer.
+// load_params rejects a file whose magic (NNB2 and older included),
+// topology hash, tensor counts and shapes or CRC-32 footer (util/crc32) do
+// not match, including one cut short at any byte.
 #pragma once
 
 #include <iosfwd>

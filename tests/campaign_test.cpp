@@ -477,42 +477,57 @@ TEST(CampaignJournal, TrainedRecordKeepsOnlyAnObject) {
 // --- run_cell determinism + phase-granular resume --------------------------
 
 TEST(CampaignWorker, ResumeFromSnapshotReproducesPayloadBitwise) {
-  TempDir dir("resume");
-  campaign::CampaignSpec spec = tiny_spec(1);
-  const std::vector<campaign::Cell> cells = campaign::expand_grid(spec);
-  ASSERT_EQ(cells.size(), 1u);
+  // A gohr-net's snapshot must carry BatchNorm's running statistics too; it
+  // trains long enough to be usable, so its online phase runs.
+  campaign::CampaignSpec gohr = tiny_spec(1);
+  gohr.blocks[0].archs = {"gohr-net/1"};
+  gohr.base.epochs = 3;
+  gohr.base.offline_base_inputs = 1000;
+  for (const campaign::CampaignSpec& spec : {tiny_spec(1), gohr}) {
+    const std::string arch = spec.blocks[0].archs[0];
+    SCOPED_TRACE(arch);
+    TempDir dir("resume");
+    const std::vector<campaign::Cell> cells = campaign::expand_grid(spec);
+    ASSERT_EQ(cells.size(), 1u);
 
-  campaign::CellHooks full;
-  full.snapshot_path = dir.path() + "/cell.model";
-  std::string trained;
-  full.on_trained = [&](const core::TrainReport& r) {
-    trained = campaign::train_json(r);
-  };
-  const campaign::CellOutcome reference = campaign::run_cell(cells[0], full);
-  ASSERT_TRUE(reference.ok) << reference.fail_message;
-  ASSERT_FALSE(trained.empty());
-  ASSERT_TRUE(std::filesystem::exists(full.snapshot_path));
+    campaign::CellHooks full;
+    full.snapshot_path = dir.path() + "/cell.model";
+    std::string trained;
+    full.on_trained = [&](const core::TrainReport& r) {
+      trained = campaign::train_json(r);
+    };
+    const campaign::CellOutcome reference =
+        campaign::run_cell(cells[0], full);
+    ASSERT_TRUE(reference.ok) << reference.fail_message;
+    ASSERT_FALSE(trained.empty());
+    ASSERT_TRUE(std::filesystem::exists(full.snapshot_path));
+    if (arch == "gohr-net/1") {
+      ASSERT_NE(reference.payload.find("\"online\":{"), std::string::npos)
+          << reference.payload;
+    }
 
-  // Resume path: restore the snapshot + adopt the journaled train record,
-  // re-run only the online phase.  Payload must be byte-identical.
-  campaign::CellHooks resume;
-  resume.snapshot_path = full.snapshot_path;
-  resume.resume_train = trained;
-  bool retrained = false;
-  resume.on_trained = [&](const core::TrainReport&) { retrained = true; };
-  const campaign::CellOutcome resumed = campaign::run_cell(cells[0], resume);
-  ASSERT_TRUE(resumed.ok) << resumed.fail_message;
-  EXPECT_FALSE(retrained) << "resume must skip the offline phase";
-  EXPECT_EQ(resumed.payload, reference.payload);
+    // Resume path: restore the snapshot + adopt the journaled train record,
+    // re-run only the online phase.  Payload must be byte-identical.
+    campaign::CellHooks resume;
+    resume.snapshot_path = full.snapshot_path;
+    resume.resume_train = trained;
+    bool retrained = false;
+    resume.on_trained = [&](const core::TrainReport&) { retrained = true; };
+    const campaign::CellOutcome resumed =
+        campaign::run_cell(cells[0], resume);
+    ASSERT_TRUE(resumed.ok) << resumed.fail_message;
+    EXPECT_FALSE(retrained) << "resume must skip the offline phase";
+    EXPECT_EQ(resumed.payload, reference.payload);
 
-  // Corrupt snapshot: falls back to a full retrain — same payload again.
-  {
-    std::ofstream out(full.snapshot_path, std::ios::trunc);
-    out << "garbage";
+    // Corrupt snapshot: falls back to a full retrain — same payload again.
+    {
+      std::ofstream out(full.snapshot_path, std::ios::trunc);
+      out << "garbage";
+    }
+    const campaign::CellOutcome refit = campaign::run_cell(cells[0], resume);
+    ASSERT_TRUE(refit.ok) << refit.fail_message;
+    EXPECT_EQ(refit.payload, reference.payload);
   }
-  const campaign::CellOutcome refit = campaign::run_cell(cells[0], resume);
-  ASSERT_TRUE(refit.ok) << refit.fail_message;
-  EXPECT_EQ(refit.payload, reference.payload);
 }
 
 // --- supervisor: sharded == serial, bitwise --------------------------------

@@ -12,12 +12,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/arch_zoo.hpp"
 #include "kernels/conv1d.hpp"
 #include "kernels/dispatch.hpp"
 #include "nn/activations.hpp"
@@ -30,6 +34,7 @@
 #include "nn/ir/pass.hpp"
 #include "nn/lstm.hpp"
 #include "nn/model.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/residual.hpp"
 #include "nn/serialize.hpp"
 #include "util/crc32.hpp"
@@ -228,6 +233,23 @@ TEST(IrExecutor, MatchesReferenceForwardAllBackends) {
     expect_mat_bitwise_equal(
         model->forward(x, /*training=*/false), want,
         std::string("warm-arena impl=") + kernels::impl_name(impl));
+
+    // The executor refreshes sqrt(running_var + eps) as a vector loop and
+    // the fused epilogues run as vector rows; running variances of 0,
+    // subnormals and 1e30 must still give BatchNorm's scalar forward.
+    // BatchNorm's state is (running mean, running variance) per layer.
+    const float kVars[] = {0.0f,  1e-40f, 3e-39f, 1e30f, 0.25f,
+                           std::numeric_limits<float>::denorm_min()};
+    const std::vector<std::span<float>> state = model->state();
+    ASSERT_EQ(state.size(), 6u);
+    for (std::size_t t = 1; t < state.size(); t += 2) {
+      for (std::size_t j = 0; j < state[t].size(); ++j) {
+        state[t][j] = kVars[j % std::size(kVars)];
+      }
+    }
+    expect_mat_bitwise_equal(
+        model->forward(x, /*training=*/false), model->forward_reference(x),
+        std::string("extreme variances impl=") + kernels::impl_name(impl));
   }
   kernels::set_dispatch(kStartupImpl);
 }
@@ -409,32 +431,65 @@ TEST(IrSerialize, TopologyHashRoundTripAndMismatch) {
   }
 }
 
-TEST(IrSerialize, Nnb1MagicIsRejected) {
+TEST(IrSerialize, Nnb1AndNnb2MagicsAreRejected) {
   Xoshiro256 rng(13);
   nn::Sequential model;
   model.add(std::make_unique<nn::Dense>(5, 3, rng));
   std::stringstream buf;
   nn::save_params(model, buf);
-  const std::string nnb2 = buf.str();
-  // Rebuild the payload in the retired pre-hash NNB1 layout: old magic, no
-  // topology word, fresh CRC footer over the rewritten payload.  Only NNB2
-  // loads now.
-  ASSERT_GE(nnb2.size(), 16u);
-  std::string payload = "NNB1" + nnb2.substr(8, nnb2.size() - 8 - 8);
-  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-  payload += "CRC1";
-  payload.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  std::stringstream legacy(payload);
-  nn::Sequential same;
-  Xoshiro256 rng2(14);
-  same.add(std::make_unique<nn::Dense>(5, 3, rng2));
-  try {
-    nn::load_params(same, legacy);
-    FAIL() << "NNB1 model file loaded";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
-        << e.what();
+  const std::string current = buf.str();
+  // Rebuild the payload in the two retired layouts, each with a fresh CRC
+  // footer over the rewritten payload: NNB1 had no topology word, and NNB2
+  // had no state section, which for this stateless model is the u32 count
+  // 0 before the footer.  Only NNB3 loads now.
+  ASSERT_GE(current.size(), 20u);
+  const std::string body = current.substr(0, current.size() - 8);
+  for (std::string payload : {"NNB1" + body.substr(8),
+                              "NNB2" + body.substr(4, body.size() - 8)}) {
+    const std::uint32_t crc = util::crc32(payload.data(), payload.size());
+    payload += "CRC1";
+    payload.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    std::stringstream legacy(payload);
+    nn::Sequential same;
+    Xoshiro256 rng2(14);
+    same.add(std::make_unique<nn::Dense>(5, 3, rng2));
+    try {
+      nn::load_params(same, legacy);
+      FAIL() << payload.substr(0, 4) << " model file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+          << e.what();
+    }
   }
+}
+
+// A model file keeps BatchNorm's running statistics: a trained gohr-net
+// reloaded into a freshly built one predicts exactly as it did.
+TEST(IrSerialize, TrainedBatchNormModelReloadsBitwise) {
+  Xoshiro256 rng(16);
+  auto model = core::build_gohr_net(16, 2, 1, rng);
+  nn::Dataset data;
+  data.x = nn::Mat(96, 16);
+  for (std::size_t i = 0; i < data.x.size(); ++i) {
+    data.x.data()[i] = static_cast<float>(rng.next_u64() & 1);
+  }
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data.y.push_back(static_cast<int>(data.x.data()[i * 16] != 0.0f));
+  }
+  nn::Adam opt(0.01f);
+  nn::FitOptions fit;
+  fit.epochs = 2;
+  fit.batch_size = 32;
+  model->fit(data, opt, fit);
+
+  std::stringstream buf;
+  nn::save_params(*model, buf);
+  Xoshiro256 other(17);
+  auto reloaded = core::build_gohr_net(16, 2, 1, other);
+  nn::load_params(*reloaded, buf);
+  const nn::Mat x = random_input(40, 16, rng);
+  expect_mat_bitwise_equal(reloaded->predict_proba(x), model->predict_proba(x),
+                           "reloaded gohr-net/1");
 }
 
 }  // namespace

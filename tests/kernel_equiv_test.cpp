@@ -13,11 +13,14 @@
 // +0/-0 and NaN-payload differences would be caught too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -30,7 +33,9 @@
 #include "core/targets.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/gemm.hpp"
+#include "kernels/gemm_internal.hpp"
 #include "kernels/gimli_batch.hpp"
+#include "kernels/norm_act.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
@@ -332,6 +337,153 @@ TEST(GemmEquivalence, FusedMatchesUnfused) {
     expect_bitwise_equal(fused, unfused,
                          std::string("fused-vs-unfused impl=") +
                              kernels::impl_name(impl));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Epilogue rows and branch-free activations
+// ---------------------------------------------------------------------------
+
+// Values every elementwise stage must treat exactly as the per-element
+// spec does.  The NaN is x86's default NaN, the one every invalid
+// operation produces, so whichever operand an fma or a vector op
+// propagates, a NaN's bits are the same.
+const float kSpecials[] = {std::bit_cast<float>(0xffc00000u),
+                           0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           1e-40f,
+                           -1e-40f,
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           1e-30f,
+                           -3e38f};
+
+/// random_floats with about one value in three replaced by a special.
+std::vector<float> with_specials(std::size_t n, Xoshiro256& rng) {
+  std::vector<float> v = random_floats(n, rng);
+  for (float& x : v) {
+    if (rng.next_below(3) == 0) {
+      x = kSpecials[rng.next_below(std::size(kSpecials))];
+    }
+  }
+  return v;
+}
+
+// All twelve (bias?, norm?, activation) epilogues, at the register tile's
+// edges (6 x 16) and across a k block (KC = 256), through every backend's
+// gemm_impl and through norm_act_inplace, against apply_epilogue applied to
+// gemm_reference's products.  Specials reach the epilogue through the
+// products (k = 1 passes A's and B's values through; at k = 257 only A's
+// first row carries them, so the other rows stay finite), through every
+// epilogue array (std of 0 divides by zero) and, for norm_act_inplace, as
+// inputs.
+TEST(EpilogueRows, EveryStageCombinationMatchesTheSpec) {
+  Xoshiro256 rng(0xe9);
+  for (std::size_t m : {1, 5, 6, 7, 13}) {
+    for (std::size_t n : {1, 15, 16, 17, 33}) {
+      for (std::size_t k : {1, 257}) {
+        std::vector<float> a = random_floats(m * k, rng);
+        std::vector<float> b = random_floats(k * n, rng);
+        const std::vector<float> spiked = with_specials(m * k, rng);
+        const std::size_t spiked_count = k == 1 ? m * k : k;
+        std::copy_n(spiked.begin(), spiked_count, a.begin());
+        if (k == 1) b = with_specials(k * n, rng);
+        const auto bias = with_specials(n, rng);
+        const auto mean = with_specials(n, rng);
+        const auto sd = with_specials(n, rng);
+        const auto gamma = with_specials(n, rng);
+        const auto beta = with_specials(n, rng);
+        const auto direct = with_specials(m * n, rng);
+        std::vector<float> product(m * n);
+        kernels::gemm_impl(Impl::kReference, a.data(),
+                           static_cast<std::ptrdiff_t>(k), 1, b.data(),
+                           static_cast<std::ptrdiff_t>(n), 1, product.data(),
+                           m, k, n);
+
+        for (int stages = 0; stages < 12; ++stages) {
+          kernels::GemmEpilogue ep;
+          if (stages & 1) ep.bias = bias.data();
+          if (stages & 2) {
+            ep.norm_mean = mean.data();
+            ep.norm_std = sd.data();
+            ep.norm_gamma = gamma.data();
+            ep.norm_beta = beta.data();
+          }
+          ep.act = static_cast<kernels::Activation>(stages / 4);
+          ep.alpha = 0.3f;
+          const auto spec = [&](const std::vector<float>& in) {
+            std::vector<float> out(in.size());
+            for (std::size_t i = 0; i < in.size(); ++i) {
+              out[i] = kernels::detail::apply_epilogue(in[i], ep, i % n);
+            }
+            return out;
+          };
+          const std::string what = "m=" + std::to_string(m) +
+                                   " n=" + std::to_string(n) +
+                                   " k=" + std::to_string(k) +
+                                   " stages=" + std::to_string(stages);
+          const std::vector<float> want = spec(product);
+          for (Impl impl : kernels::available_impls()) {
+            std::vector<float> got(m * n, -12345.0f);
+            kernels::gemm_impl(impl, a.data(), static_cast<std::ptrdiff_t>(k),
+                               1, b.data(), static_cast<std::ptrdiff_t>(n), 1,
+                               got.data(), m, k, n, ep);
+            expect_bitwise_equal(
+                got, want, what + " gemm impl=" + kernels::impl_name(impl));
+          }
+          std::vector<float> rows = product;
+          kernels::norm_act_inplace(rows.data(), m, n, ep);
+          expect_bitwise_equal(rows, want, what + " norm_act");
+          rows = direct;
+          kernels::norm_act_inplace(rows.data(), m, n, ep);
+          expect_bitwise_equal(rows, spec(direct), what + " norm_act direct");
+        }
+      }
+    }
+  }
+}
+
+// ReLU and LeakyReLU are selects now; they must equal the branchy loops
+// they replaced on every special value.  Backward tests the cached input
+// with <=, so -0 (and +0) zero or scale the gradient.
+TEST(EpilogueRows, BranchFreeActivationsMatchTheBranchyLoops) {
+  Xoshiro256 rng(0xac7);
+  nn::Mat x(7, 33);
+  nn::Mat grad(7, 33);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = kSpecials[i % std::size(kSpecials)];
+    grad.data()[i] = (i % 5 == 0) ? kSpecials[(i / 5) % std::size(kSpecials)]
+                                  : static_cast<float>(rng.next_gaussian());
+  }
+  ASSERT_EQ(bits_of(x.data()[2]), bits_of(-0.0f));
+  const auto as_vector = [](const nn::Mat& mat) {
+    return std::vector<float>(mat.data(), mat.data() + mat.size());
+  };
+  for (const float alpha : {0.0f, 0.3f}) {
+    std::vector<float> fwd = as_vector(x);
+    std::vector<float> bwd = as_vector(grad);
+    for (std::size_t i = 0; i < fwd.size(); ++i) {
+      if (alpha == 0.0f) {
+        if (fwd[i] < 0.0f) fwd[i] = 0.0f;
+        if (x.data()[i] <= 0.0f) bwd[i] = 0.0f;
+      } else {
+        if (fwd[i] < 0.0f) fwd[i] *= alpha;
+        if (x.data()[i] <= 0.0f) bwd[i] *= alpha;
+      }
+    }
+    std::unique_ptr<nn::Layer> layer;
+    if (alpha == 0.0f) {
+      layer = std::make_unique<nn::ReLU>();
+    } else {
+      layer = std::make_unique<nn::LeakyReLU>(alpha);
+    }
+    const std::string what = layer->name();
+    expect_bitwise_equal(as_vector(layer->forward(x, /*training=*/true)), fwd,
+                         what + " forward");
+    expect_bitwise_equal(as_vector(layer->backward(grad)), bwd,
+                         what + " backward");
   }
 }
 

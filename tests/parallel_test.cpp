@@ -28,6 +28,7 @@
 #include "kernels/dispatch.hpp"
 #include "kernels/gemm.hpp"
 #include "nn/model.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -163,6 +164,36 @@ TEST(ParallelEval, EvaluateAndPredictStableAcrossPoolSizes) {
   const nn::EvalResult global = model->evaluate(data, 32);
   EXPECT_EQ(global.loss, ref.loss);
   EXPECT_EQ(global.accuracy, ref.accuracy);
+}
+
+// A predict of one batch obeys `threads` too: at 1 every Dense layer is one
+// unsplit GEMM, where the whole pool would split the wide ones by rows.
+TEST(ParallelEval, SingleBatchPredictObeysThreadCap) {
+  const core::GimliHashTarget target(2);
+  const core::CipherOracle oracle(target);
+  core::CollectOptions copt;
+  copt.seed = 12;
+  copt.threads = 1;
+  const nn::Dataset data = core::collect_dataset(oracle, 200, copt);
+  ASSERT_EQ(data.size(), 400u);
+
+  core::ExperimentConfig config;
+  config.seed = 4;
+  auto model = config.make_model(target);
+  ASSERT_EQ(model->summary().find("dense"), 0u) << model->summary();
+  const auto gemm_calls = [] {
+    std::uint64_t total = 0;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::global().snapshot().counters) {
+      if (name.rfind("kernels.gemm.calls.", 0) == 0) total += value;
+    }
+    return total;
+  };
+  const std::vector<int> whole_pool = model->predict(data.x, 512, 0);
+  const std::uint64_t before = gemm_calls();
+  const std::vector<int> capped = model->predict(data.x, 512, 1);
+  EXPECT_EQ(gemm_calls() - before, 3u) << "one GEMM per Dense layer";
+  EXPECT_EQ(capped, whole_pool);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 // corrupt-model-file detection, and FaultyOracle determinism.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +53,56 @@ TEST(Crc32, KnownAnswerAndChaining) {
   inc.update(s + 4, 5);
   EXPECT_EQ(inc.value(), 0xcbf43926u);
   EXPECT_EQ(util::crc32(nullptr, 0), 0u);
+}
+
+// The byte-at-a-time loop util::crc32 used before slicing-by-8.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t crc = 0) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference) {
+  util::Xoshiro256 rng(0xc3c32);
+  std::vector<std::uint8_t> buf(300001);
+  rng.fill_bytes(buf.data(), buf.size());
+  // Every length from 0 to 64 at every alignment, so the 8-byte steps and
+  // the byte-wise tail meet at each split.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(util::crc32(buf.data() + offset, len),
+                crc32_bytewise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Random unaligned (offset, length) pairs, and one large buffer.
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t offset = rng.next_below(4096);
+    const std::size_t len = rng.next_below(65);
+    ASSERT_EQ(util::crc32(buf.data() + offset, len),
+              crc32_bytewise(buf.data() + offset, len))
+        << "offset " << offset << " length " << len;
+  }
+  const std::uint32_t whole = crc32_bytewise(buf.data() + 3, buf.size() - 3);
+  EXPECT_EQ(util::crc32(buf.data() + 3, buf.size() - 3), whole);
+  // Chained calls over random cuts equal the one-shot value.
+  for (int trial = 0; trial < 16; ++trial) {
+    util::Crc32 inc;
+    std::size_t at = 3;
+    while (at < buf.size()) {
+      const std::size_t step =
+          std::min<std::size_t>(buf.size() - at, rng.next_below(2 * 4096));
+      inc.update(buf.data() + at, step);
+      at += step;
+    }
+    EXPECT_EQ(inc.value(), whole) << "trial " << trial;
+  }
 }
 
 // --- nn::HealthMonitor ----------------------------------------------------

@@ -71,10 +71,11 @@ void conv_direct(Impl impl, const float* x, float* y, const Conv1DShape& s,
               s.batch * s.length, s.cin, s.cout, ep);
     return;
   }
-  // The whole call issues exactly TWO gemms regardless of batch size.  A
-  // per-sample gemm loop would repack the (kw x cout) weight operand once
-  // per call, and that packing traffic dominates the im2col savings for
-  // distinguisher-sized convolutions.
+  // The whole call issues exactly TWO gemms regardless of batch size.
+  // Each gemm copies the (kw x cout) weight operand into its B strips once
+  // and reads every full 6-row strip of the window view in place, packing
+  // only the ragged last one.  A per-sample gemm loop would copy the
+  // weights once per sample and pack a ragged strip per sample.
   const std::size_t half = s.kernel / 2;
   const std::size_t border_rows = s.batch * 2 * half;
   // Every full-span window of the whole x buffer, as one strided view with

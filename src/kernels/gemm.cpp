@@ -54,14 +54,22 @@ constexpr std::size_t kBlockedBypassOutputs = 16;
 // Scalar full-tile micro-kernel, one tile row at a time: the 16-lane row
 // accumulator stays in registers across the whole k loop, which GCC
 // vectorizes cleanly (a row-inner loop order defeats its vectorizer).  The
-// per-element chain is the same k-ascending std::fmaf sequence.
-void micro_scalar(std::size_t kc, const float* ap, const float* bp,
-                  float* acc) {
+// per-element chain is the same k-ascending std::fmaf sequence.  Row r's
+// A value at step kk is a[r * a_rs + kk] in place, a[kk * kMR + r] packed.
+// Kept out of line: inlined into gemm_blocked's constant-propagated copy of
+// the driver, GCC 12 left the in-place row loop as 16 scalar fmas per k
+// step, 2.5x slower than the vectorized function.
+template <bool kInPlace>
+[[gnu::noinline]] void micro_scalar(std::size_t kc, const float* a,
+                                    std::ptrdiff_t a_rs, const float* bp,
+                                    float* acc) {
+  constexpr std::size_t kStep = kInPlace ? 1 : kMR;
   for (int r = 0; r < kMR; ++r) {
+    const float* arow = kInPlace ? a + r * a_rs : a + r;
     float crow[kNR];
     std::memcpy(crow, acc + r * kNR, sizeof(crow));
     for (std::size_t kk = 0; kk < kc; ++kk) {
-      const float av = ap[kk * kMR + static_cast<std::size_t>(r)];
+      const float av = arow[kk * kStep];
       const float* brow = bp + kk * kNR;
       for (int j = 0; j < kNR; ++j) {
         crow[j] = std::fmaf(av, brow[j], crow[j]);
@@ -94,7 +102,7 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
                          std::ptrdiff_t a_cs, const float* b,
                          std::ptrdiff_t b_rs, std::ptrdiff_t b_cs, float* c,
                          std::size_t m, std::size_t k, std::size_t n,
-                         const GemmEpilogue& epilogue, MicroFn micro) {
+                         const GemmEpilogue& epilogue, MicroKernel micro) {
   if (m == 0 || n == 0) return;
   if (k == 0 || m * n < kBlockedBypassOutputs) {
     gemm_reference(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue);
@@ -104,8 +112,8 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
   // Pack panels sized to this call (one k block of at most kMC rows of A and
   // kNC columns of B) in per-thread grow-only buffers, so a steady-state
   // call neither allocates nor zero-fills.  The packing loops below write
-  // every lane the micro-kernel reads, padding zeros included, so what an
-  // earlier call left in a reused buffer is never observed.
+  // every lane the micro-kernel reads from them, padding zeros included, so
+  // what an earlier call left in a reused buffer is never observed.
   const std::size_t kc_max = std::min(kKC, k);
   const std::size_t a_floats =
       (std::min(kMC, m) + kMR - 1) / kMR * kc_max * kMR;
@@ -116,6 +124,10 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
   if (apack.size() < a_floats) apack.resize(a_floats);
   if (bpack.size() < b_floats) bpack.resize(b_floats);
   const GemmEpilogue no_epilogue{};
+  // A strip of kMR whole rows with unit column stride is read in place.
+  const auto in_place = [a_cs](std::size_t mr) {
+    return a_cs == 1 && mr == kMR;
+  };
 
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t nc = std::min(kNC, n - jc);
@@ -126,15 +138,25 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
       const bool last = kc0 + kc == k;
       const GemmEpilogue& ep = last ? epilogue : no_epilogue;
 
-      // Pack B into kNR-wide strips; edge columns are zero-padded so the
-      // micro-kernel always runs a full tile.
+      // Pack B into kNR-wide strips: a full strip of contiguous columns is
+      // one row copy per k step; the ragged last strip and a transposed B
+      // are gathered, with edge columns zero-padded so the micro-kernel
+      // always runs a full tile.
       for (std::size_t js = 0; js < njs; ++js) {
         const std::size_t j0 = jc + js * kNR;
         const std::size_t nr = std::min<std::size_t>(kNR, n - j0);
         float* dst = bpack.data() + js * kc * kNR;
+        const float* b_strip = b + static_cast<std::ptrdiff_t>(kc0) * b_rs;
+        if (b_cs == 1 && nr == kNR) {
+          for (std::size_t kk = 0; kk < kc; ++kk) {
+            std::memcpy(dst + kk * kNR,
+                        b_strip + static_cast<std::ptrdiff_t>(kk) * b_rs + j0,
+                        kNR * sizeof(float));
+          }
+          continue;
+        }
         for (std::size_t kk = 0; kk < kc; ++kk) {
-          const float* b_row =
-              b + static_cast<std::ptrdiff_t>(kc0 + kk) * b_rs;
+          const float* b_row = b_strip + static_cast<std::ptrdiff_t>(kk) * b_rs;
           for (std::size_t j = 0; j < kNR; ++j) {
             dst[kk * kNR + j] =
                 j < nr
@@ -148,10 +170,12 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
         const std::size_t mc = std::min(kMC, m - ic);
         const std::size_t nis = (mc + kMR - 1) / kMR;
 
-        // Pack A into kMR-tall strips, zero-padding edge rows.
+        // Pack the A strips that cannot be read in place into kMR-tall
+        // strips, zero-padding edge rows.
         for (std::size_t is = 0; is < nis; ++is) {
           const std::size_t i0 = ic + is * kMR;
           const std::size_t mr = std::min<std::size_t>(kMR, m - i0);
+          if (in_place(mr)) continue;
           float* dst = apack.data() + is * kc * kMR;
           for (std::size_t kk = 0; kk < kc; ++kk) {
             const float* a_col =
@@ -172,7 +196,6 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
           for (std::size_t is = 0; is < nis; ++is) {
             const std::size_t i0 = ic + is * kMR;
             const std::size_t mr = std::min<std::size_t>(kMR, m - i0);
-            const float* ap = apack.data() + is * kc * kMR;
 
             alignas(64) float acc[kMR * kNR];
             if (first) {
@@ -189,7 +212,14 @@ void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
               }
             }
 
-            micro(kc, ap, bp, acc);
+            if (in_place(mr)) {
+              micro.in_place(kc,
+                             a + static_cast<std::ptrdiff_t>(i0) * a_rs +
+                                 static_cast<std::ptrdiff_t>(kc0),
+                             a_rs, bp, acc);
+            } else {
+              micro.packed(kc, apack.data() + is * kc * kMR, 0, bp, acc);
+            }
 
             for (std::size_t r = 0; r < mr; ++r) {
               epilogue_row(acc + r * kNR, c + (i0 + r) * n + j0, nr, ep, j0);
@@ -206,7 +236,7 @@ void gemm_blocked(const float* a, std::ptrdiff_t a_rs, std::ptrdiff_t a_cs,
                   float* c, std::size_t m, std::size_t k, std::size_t n,
                   const GemmEpilogue& epilogue) {
   gemm_blocked_driver(a, a_rs, a_cs, b, b_rs, b_cs, c, m, k, n, epilogue,
-                      &micro_scalar);
+                      {&micro_scalar<false>, &micro_scalar<true>});
 }
 
 }  // namespace detail

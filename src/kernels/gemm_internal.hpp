@@ -2,19 +2,28 @@
 // gemm_avx2.cpp (AVX2 micro-kernel).  Not installed; include only from
 // src/kernels translation units and tests that probe tile edges.
 //
-// The blocked driver implements a BLIS-style structure: pack B into kNR-wide
-// column panels and A into kMR-tall row panels per (kKC x kNC) cache block,
-// then sweep a full kMR x kNR register tile over the packed panels.  Edge
-// tiles are zero-padded in the packed panels, so the micro-kernel always
-// runs full-size; only the valid mr x nr lanes are stored back.  The panels
-// are sized to the call and kept in per-thread grow-only buffers, so a
-// repeated shape neither allocates nor zero-fills.
+// The blocked driver implements a BLIS-style structure: per (kKC x kNC)
+// cache block it packs B into kNR-wide column strips, then sweeps a full
+// kMR x kNR register tile over them and over kMR-tall strips of A.  What is
+// copied is only what cannot be read as it lies:
+//   - A strip of kMR whole rows with column stride 1 (every inference
+//     product, the conv's overlapping window view, training's forward and
+//     dX products) is read in place: the micro-kernel broadcasts straight
+//     from the caller's rows at their row stride.  A ragged last strip and
+//     a transposed A (dW's matmul_at_b) are packed, zero-padded to kMR rows.
+//   - A full B strip with column stride 1 is packed by one 16-float row
+//     copy per k step; the ragged last strip and a transposed B gather
+//     element by element, zero-padded to kNR columns.
+// So the micro-kernel always runs full-size, and only the valid mr x nr
+// lanes are stored back.  The packed strips are sized to the call and kept
+// in per-thread grow-only buffers, so a repeated shape neither allocates
+// nor zero-fills.
 //
 // Bitwise determinism: the accumulator tile is carried across k blocks
 // through C itself (stored after each non-final k block and reloaded, which
 // is value-preserving for floats), so each output element sees the exact
 // k-ascending fma chain the reference kernel computes.  Zero-padded lanes
-// only ever combine finite packed values, never touch C, and are discarded.
+// (whatever they compute: 0 * inf is NaN) never touch C and are discarded.
 //
 // Epilogues: apply_epilogue is the per-element specification (the
 // reference kernel and the small-shape bypass call it).  epilogue_row
@@ -39,10 +48,18 @@ inline constexpr std::size_t kMC = 126;  // m cache block (multiple of kMR)
 inline constexpr std::size_t kNC = 512;  // n cache block (multiple of kNR)
 
 // Full-tile micro-kernel contract: acc is a row-major kMR x kNR tile
-// (64-byte aligned); advance it by kc fma steps using the packed panels
-// ap (kc x kMR, strip-major) and bp (kc x kNR, strip-major).
-using MicroFn = void (*)(std::size_t kc, const float* ap, const float* bp,
-                         float* acc);
+// (64-byte aligned); advance it by kc fma steps using the packed B strip bp
+// (kc x kNR, strip-major) and kMR rows of A, which the packed form reads
+// from a packed strip (kc x kMR, strip-major; a_rs is unused) and the
+// in-place form from the caller's rows: row r's kc values start at
+// a + r * a_rs.  The packed form keeps its A offsets compile-time constants.
+using MicroFn = void (*)(std::size_t kc, const float* a, std::ptrdiff_t a_rs,
+                         const float* bp, float* acc);
+
+struct MicroKernel {
+  MicroFn packed;
+  MicroFn in_place;
+};
 
 inline float apply_epilogue(float v, const GemmEpilogue& ep, std::size_t j) {
   if (ep.bias != nullptr) v += ep.bias[j];
@@ -135,12 +152,12 @@ inline float dot_fma(const float* a_row, std::ptrdiff_t a_cs,
   return acc;
 }
 
-// Cache-blocked packing driver; `micro` supplies the register-tile inner
-// loop (scalar or AVX2).  Defined in gemm.cpp.
+// Cache-blocked driver; `micro` supplies the register-tile inner loop
+// (scalar or AVX2) in its two forms.  Defined in gemm.cpp.
 void gemm_blocked_driver(const float* a, std::ptrdiff_t a_rs,
                          std::ptrdiff_t a_cs, const float* b,
                          std::ptrdiff_t b_rs, std::ptrdiff_t b_cs, float* c,
                          std::size_t m, std::size_t k, std::size_t n,
-                         const GemmEpilogue& epilogue, MicroFn micro);
+                         const GemmEpilogue& epilogue, MicroKernel micro);
 
 }  // namespace mldist::kernels::detail

@@ -17,13 +17,19 @@ Mat BatchNorm::forward(const Mat& x, bool training) {
   }
   const std::size_t batch = x.rows();
   Mat y(batch, features_);
+  // Each feature's standard deviation is one sqrt, taken before the row
+  // loops: this file keeps errno semantics, so a sqrt inside them would be
+  // a guarded scalar call per element.  The values are the same.
+  std::vector<float> sd(features_);
   if (!training) {
+    for (std::size_t j = 0; j < features_; ++j) {
+      sd[j] = std::sqrt(run_var_[j] + eps_);
+    }
     for (std::size_t n = 0; n < batch; ++n) {
       const float* xr = x.row(n);
       float* yr = y.row(n);
       for (std::size_t j = 0; j < features_; ++j) {
-        const float xhat =
-            (xr[j] - run_mean_[j]) / std::sqrt(run_var_[j] + eps_);
+        const float xhat = (xr[j] - run_mean_[j]) / sd[j];
         yr[j] = gamma_[j] * xhat + beta_[j];
       }
     }
@@ -45,7 +51,10 @@ Mat BatchNorm::forward(const Mat& x, bool training) {
       batch_var_[j] += d * d;
     }
   }
-  for (std::size_t j = 0; j < features_; ++j) batch_var_[j] *= inv_b;
+  for (std::size_t j = 0; j < features_; ++j) {
+    batch_var_[j] *= inv_b;
+    sd[j] = std::sqrt(batch_var_[j] + eps_);
+  }
 
   xhat_ = Mat(batch, features_);
   for (std::size_t n = 0; n < batch; ++n) {
@@ -53,7 +62,7 @@ Mat BatchNorm::forward(const Mat& x, bool training) {
     float* xh = xhat_.row(n);
     float* yr = y.row(n);
     for (std::size_t j = 0; j < features_; ++j) {
-      xh[j] = (xr[j] - mean[j]) / std::sqrt(batch_var_[j] + eps_);
+      xh[j] = (xr[j] - mean[j]) / sd[j];
       yr[j] = gamma_[j] * xh[j] + beta_[j];
     }
   }
@@ -80,17 +89,18 @@ Mat BatchNorm::backward(const Mat& grad_out) {
       sum_dy_xhat[j] += g[j] * xh[j];
     }
   }
+  std::vector<float> inv_std(features_);
   for (std::size_t j = 0; j < features_; ++j) {
     dgamma_[j] += sum_dy_xhat[j];
     dbeta_[j] += sum_dy[j];
+    inv_std[j] = 1.0f / std::sqrt(batch_var_[j] + eps_);
   }
   for (std::size_t n = 0; n < batch; ++n) {
     const float* g = grad_out.row(n);
     const float* xh = xhat_.row(n);
     float* d = dx.row(n);
     for (std::size_t j = 0; j < features_; ++j) {
-      const float inv_std = 1.0f / std::sqrt(batch_var_[j] + eps_);
-      d[j] = gamma_[j] * inv_std *
+      d[j] = gamma_[j] * inv_std[j] *
              (g[j] - inv_b * sum_dy[j] - inv_b * xh[j] * sum_dy_xhat[j]);
     }
   }

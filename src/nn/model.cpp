@@ -369,7 +369,7 @@ EvalResult Sequential::evaluate(const Dataset& data, std::size_t batch_size,
   // bitwise identical to a serial pass regardless of the worker count.
   std::vector<double> batch_loss(batches, 0.0);
   std::vector<std::size_t> batch_hits(batches, 0);
-  util::ThreadPool::global().parallel_for(batches, [&](std::size_t b0, std::size_t b1) {
+  const auto score = [&](std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
       const std::size_t begin = b * bs;
       const std::size_t end = std::min(n, begin + bs);
@@ -383,7 +383,15 @@ EvalResult Sequential::evaluate(const Dataset& data, std::size_t batch_size,
       batch_hits[b] = static_cast<std::size_t>(
           std::lround(lr.accuracy * static_cast<double>(end - begin)));
     }
-  }, threads);
+  };
+  if (batches <= 1) {
+    // As in predict: one batch runs here, not in a pool region, so the
+    // kernels' row splits may fan out up to the thread's ScopedCap.
+    const util::ThreadPool::ScopedCap cap(threads);
+    score(0, batches);
+  } else {
+    util::ThreadPool::global().parallel_for(batches, score, threads);
+  }
   double loss_sum = 0.0;
   std::size_t hits = 0;
   for (std::size_t b = 0; b < batches; ++b) {

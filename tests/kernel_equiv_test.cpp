@@ -23,12 +23,14 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ciphers/gimli.hpp"
 #include "core/dataset.hpp"
+#include "core/experiment.hpp"
 #include "core/oracle.hpp"
 #include "core/targets.hpp"
 #include "kernels/dispatch.hpp"
@@ -44,7 +46,9 @@
 #include "nn/ir/pass.hpp"
 #include "nn/mat.hpp"
 #include "nn/model.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/residual.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -259,27 +263,36 @@ TEST(GemmEquivalence, TransposedBOperand) {
 
 // The blocked driver packs into per-thread grow-only panels sized to the
 // call, so once a thread has run a shape, repeating it allocates nothing.
-// The shapes are a Gohr conv interior product and one crossing every cache
-// block (KC=256, MC=126, NC=512).  Tracing is off, so obs::Span is inert.
+// The shapes are a Gohr conv interior product, on a contiguous A and on the
+// conv's overlapping window view (rows 32 floats apart), and one crossing
+// every cache block (KC=256, MC=126, NC=512).  Tracing is off, so obs::Span
+// is inert.
 TEST(GemmAllocation, WarmedCallDoesNotTouchTheHeap) {
+  struct View {
+    Shape s;
+    std::size_t a_rs;
+  };
   Xoshiro256 rng(0xaa);
   const std::vector<Impl> impls = kernels::available_impls();
-  for (const Shape& s : {Shape{62, 96, 32}, Shape{127, 257, 513}}) {
-    const auto a = random_floats(s.m * s.k, rng);
+  for (const View& v : {View{{62, 96, 32}, 96}, View{{62, 96, 32}, 32},
+                        View{{127, 257, 513}, 257}}) {
+    const Shape& s = v.s;
+    const auto a = random_floats((s.m - 1) * v.a_rs + s.k, rng);
     const auto b = random_floats(s.k * s.n, rng);
     std::vector<float> c(s.m * s.n);
     for (Impl impl : impls) {
       const auto product = [&] {
-        kernels::gemm_impl(impl, a.data(), static_cast<std::ptrdiff_t>(s.k),
-                           1, b.data(), static_cast<std::ptrdiff_t>(s.n), 1,
-                           c.data(), s.m, s.k, s.n);
+        kernels::gemm_impl(impl, a.data(),
+                           static_cast<std::ptrdiff_t>(v.a_rs), 1, b.data(),
+                           static_cast<std::ptrdiff_t>(s.n), 1, c.data(), s.m,
+                           s.k, s.n);
       };
       product();  // warm: metric ids and this thread's pack panels
       const std::size_t before = g_heap_allocations.load();
       product();
       EXPECT_EQ(g_heap_allocations.load() - before, 0u)
           << "impl=" << kernels::impl_name(impl) << " m=" << s.m
-          << " k=" << s.k << " n=" << s.n;
+          << " k=" << s.k << " n=" << s.n << " a_rs=" << v.a_rs;
     }
   }
 }
@@ -369,6 +382,49 @@ std::vector<float> with_specials(std::size_t n, Xoshiro256& rng) {
     }
   }
   return v;
+}
+
+// The blocked driver reads a full 6-row strip of a unit-column-stride A in
+// place and packs the ragged last strip; it copies a full 16-column B strip
+// row by row and gathers the ragged last one.  Each case pins those paths
+// and their seams against gemm_reference: A views whose rows overlap (a_rs
+// 32 < k = 96, the conv's window view) or are padded (a_rs > k), k across
+// KC blocks (257, 513), m around the strip and MC edges, n around the B
+// strip edge.  Specials sit in A's first row and B's last column, so the
+// other outputs stay finite, and subnormals are sprinkled through both.
+TEST(GemmEquivalence, InPlaceStripsAndRowCopies) {
+  Xoshiro256 rng(0xbb);
+  const auto sprinkle = [&](std::vector<float>& v, std::size_t first,
+                            std::size_t stride, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      float& x = v[first + i * stride];
+      if (rng.next_below(3) == 0) {
+        x = kSpecials[rng.next_below(std::size(kSpecials))];
+      }
+    }
+    for (float& x : v) {
+      if (rng.next_below(16) == 0) x = rng.next_below(2) ? 1e-40f : -1e-42f;
+    }
+  };
+  for (const std::size_t k : {std::size_t{96}, std::size_t{257},
+                              std::size_t{513}}) {
+    for (const std::size_t a_rs : {std::size_t{32}, k, k + 5}) {
+      for (const std::size_t m : {6, 7, 11, 12, 13, 126, 127, 131}) {
+        for (const std::size_t n : {15, 16, 17, 33}) {
+          auto a = random_floats((m - 1) * a_rs + k, rng);
+          auto b = random_floats(k * n, rng);
+          sprinkle(a, 0, 1, k);      // A's first row
+          sprinkle(b, n - 1, n, k);  // B's last column
+          run_gemm_all_impls(m, k, n, static_cast<std::ptrdiff_t>(a_rs), 1,
+                             static_cast<std::ptrdiff_t>(n), 1, a, b, {},
+                             "in-place m=" + std::to_string(m) +
+                                 " k=" + std::to_string(k) +
+                                 " n=" + std::to_string(n) +
+                                 " a_rs=" + std::to_string(a_rs));
+        }
+      }
+    }
+  }
 }
 
 // All twelve (bias?, norm?, activation) epilogues, at the register tile's
@@ -484,6 +540,154 @@ TEST(EpilogueRows, BranchFreeActivationsMatchTheBranchyLoops) {
                          what + " forward");
     expect_bitwise_equal(as_vector(layer->backward(grad)), bwd,
                          what + " backward");
+  }
+}
+
+// nn::BatchNorm as it was when it took a sqrt per element inside its row
+// loops: the specification its per-feature sqrt must reproduce.
+struct PerElementBatchNorm {
+  std::vector<float> gamma, beta, run_mean, run_var;
+  float momentum, eps;
+  std::vector<float> batch_var;
+  nn::Mat xhat;
+
+  nn::Mat forward(const nn::Mat& x, bool training) {
+    const std::size_t batch = x.rows();
+    const std::size_t features = gamma.size();
+    nn::Mat y(batch, features);
+    if (!training) {
+      for (std::size_t n = 0; n < batch; ++n) {
+        for (std::size_t j = 0; j < features; ++j) {
+          const float xh =
+              (x.row(n)[j] - run_mean[j]) / std::sqrt(run_var[j] + eps);
+          y.row(n)[j] = gamma[j] * xh + beta[j];
+        }
+      }
+      return y;
+    }
+    std::vector<float> mean(features, 0.0f);
+    batch_var.assign(features, 0.0f);
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t j = 0; j < features; ++j) mean[j] += x.row(n)[j];
+    }
+    const float inv_b = 1.0f / static_cast<float>(batch);
+    for (std::size_t j = 0; j < features; ++j) mean[j] *= inv_b;
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t j = 0; j < features; ++j) {
+        const float d = x.row(n)[j] - mean[j];
+        batch_var[j] += d * d;
+      }
+    }
+    for (std::size_t j = 0; j < features; ++j) batch_var[j] *= inv_b;
+    xhat = nn::Mat(batch, features);
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t j = 0; j < features; ++j) {
+        xhat.row(n)[j] =
+            (x.row(n)[j] - mean[j]) / std::sqrt(batch_var[j] + eps);
+        y.row(n)[j] = gamma[j] * xhat.row(n)[j] + beta[j];
+      }
+    }
+    for (std::size_t j = 0; j < features; ++j) {
+      run_mean[j] = momentum * run_mean[j] + (1.0f - momentum) * mean[j];
+      run_var[j] = momentum * run_var[j] + (1.0f - momentum) * batch_var[j];
+    }
+    return y;
+  }
+
+  nn::Mat backward(const nn::Mat& g, std::vector<float>& dgamma,
+                   std::vector<float>& dbeta) {
+    const std::size_t batch = g.rows();
+    const std::size_t features = gamma.size();
+    const float inv_b = 1.0f / static_cast<float>(batch);
+    nn::Mat dx(batch, features);
+    std::vector<float> sum_dy(features, 0.0f);
+    std::vector<float> sum_dy_xhat(features, 0.0f);
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t j = 0; j < features; ++j) {
+        sum_dy[j] += g.row(n)[j];
+        sum_dy_xhat[j] += g.row(n)[j] * xhat.row(n)[j];
+      }
+    }
+    dgamma = sum_dy_xhat;
+    dbeta = sum_dy;
+    for (std::size_t n = 0; n < batch; ++n) {
+      for (std::size_t j = 0; j < features; ++j) {
+        const float inv_std = 1.0f / std::sqrt(batch_var[j] + eps);
+        dx.row(n)[j] = gamma[j] * inv_std *
+                       (g.row(n)[j] - inv_b * sum_dy[j] -
+                        inv_b * xhat.row(n)[j] * sum_dy_xhat[j]);
+      }
+    }
+    return dx;
+  }
+};
+
+// BatchNorm takes one sqrt per feature before its row loops; inference
+// forward, training forward with its running-statistics update, and
+// backward must equal the per-element loops bit for bit.  The features
+// have zero, subnormal (~1e-40) and ~1e30 batch variance, one holds a NaN,
+// and the running variances cover the same cases; eps 0 makes the sqrt
+// itself 0 or subnormal.  The only NaN is x86's default one, so operand
+// order cannot change a NaN's bits.
+TEST(BatchNormRows, PerFeatureSqrtMatchesThePerElementLoops) {
+  constexpr std::size_t kRows = 9;
+  constexpr std::size_t kFeatures = 6;
+  Xoshiro256 rng(0xb7);
+  nn::Mat x(kRows, kFeatures);
+  nn::Mat grad(kRows, kFeatures);
+  for (std::size_t n = 0; n < kRows; ++n) {
+    const float sign = n % 2 == 0 ? 1.0f : -1.0f;
+    float* xr = x.row(n);
+    xr[0] = 3.0f;
+    xr[1] = sign * 1e-20f;
+    xr[2] = sign * 1e15f;
+    xr[3] = n == 4 ? kSpecials[0] : 0.5f * static_cast<float>(n);
+    xr[4] = static_cast<float>(rng.next_gaussian());
+    xr[5] = static_cast<float>(rng.next_gaussian()) * 40.0f;
+    for (std::size_t j = 0; j < kFeatures; ++j) {
+      grad.row(n)[j] = static_cast<float>(rng.next_gaussian());
+    }
+  }
+  const auto as_vector = [](const nn::Mat& mat) {
+    return std::vector<float>(mat.data(), mat.data() + mat.size());
+  };
+  for (const float eps : {1e-5f, 0.0f}) {
+    nn::BatchNorm bn(kFeatures, 0.9f, eps);
+    PerElementBatchNorm spec{{}, {}, {}, {}, 0.9f, eps, {}, {}};
+    const std::vector<nn::ParamView> params = bn.params();
+    const std::vector<std::span<float>> state = bn.state();
+    for (std::size_t j = 0; j < kFeatures; ++j) {
+      params[0].value[j] = static_cast<float>(rng.next_gaussian());
+      params[1].value[j] = static_cast<float>(rng.next_gaussian());
+      state[0][j] = static_cast<float>(rng.next_gaussian());
+    }
+    const float run_var[kFeatures] = {0.0f, 1e-41f, 1e30f, kSpecials[0],
+                                      1.7f, 0.3f};
+    std::copy(std::begin(run_var), std::end(run_var), state[1].begin());
+    spec.gamma.assign(params[0].value, params[0].value + kFeatures);
+    spec.beta.assign(params[1].value, params[1].value + kFeatures);
+    spec.run_mean.assign(state[0].begin(), state[0].end());
+    spec.run_var.assign(state[1].begin(), state[1].end());
+
+    const std::string what = "eps=" + std::to_string(eps);
+    expect_bitwise_equal(as_vector(bn.forward(x, /*training=*/false)),
+                         as_vector(spec.forward(x, false)),
+                         what + " inference forward");
+    expect_bitwise_equal(as_vector(bn.forward(x, /*training=*/true)),
+                         as_vector(spec.forward(x, true)),
+                         what + " training forward");
+    expect_bitwise_equal(bn.running_mean(), spec.run_mean,
+                         what + " running mean");
+    expect_bitwise_equal(bn.running_var(), spec.run_var,
+                         what + " running variance");
+    std::vector<float> dgamma, dbeta;
+    expect_bitwise_equal(as_vector(bn.backward(grad)),
+                         as_vector(spec.backward(grad, dgamma, dbeta)),
+                         what + " backward");
+    expect_bitwise_equal({params[0].grad, params[0].grad + kFeatures}, dgamma,
+                         what + " dgamma");
+    expect_bitwise_equal({params[1].grad, params[1].grad + kFeatures}, dbeta,
+                         what + " dbeta");
   }
 }
 
@@ -731,6 +935,104 @@ TEST(BatchedCollection, DatasetBytesKernelInvariant) {
                           want.x.size() * sizeof(float)),
               0)
         << "impl=" << kernels::impl_name(impl);
+  }
+  kernels::set_dispatch(kStartupImpl);
+}
+
+// ---------------------------------------------------------------------------
+// Training trajectory
+// ---------------------------------------------------------------------------
+
+// What a short fit leaves behind: the bits of each epoch's train loss and
+// CRC-32s of the final params() and state() bytes.
+struct Trajectory {
+  std::string arch;
+  std::vector<std::uint64_t> loss_bits;
+  std::uint32_t params_crc = 0;
+  std::uint32_t state_crc = 0;
+};
+
+Trajectory fit_trajectory(const std::string& arch) {
+  core::ExperimentConfig config;
+  config.target = "toy";
+  config.arch = arch;
+  config.seed = 0x7a11;
+  const auto target = config.make_target();
+  core::CollectOptions collect;
+  collect.seed = 0xda7a;
+  // 400 rows: six full batches of 64 and a ragged one of 16.
+  const nn::Dataset data = core::collect_dataset(*target, 200, collect);
+  auto model = config.make_model(*target);
+  nn::Adam opt(config.learning_rate);
+  nn::FitOptions fit;
+  fit.epochs = 2;
+  fit.batch_size = 64;
+  Trajectory t{arch, {}, 0, 0};
+  fit.on_epoch = [&](const nn::EpochStats& s) {
+    t.loss_bits.push_back(std::bit_cast<std::uint64_t>(s.train_loss));
+  };
+  model->fit(data, opt, fit);
+  for (const nn::ParamView& p : model->params()) {
+    t.params_crc = util::crc32(p.value, p.size * sizeof(float), t.params_crc);
+  }
+  for (const std::span<float> s : model->state()) {
+    t.state_crc = util::crc32(s.data(), s.size_bytes(), t.state_crc);
+  }
+  return t;
+}
+
+void expect_same_trajectory(const Trajectory& got, const Trajectory& want,
+                            const std::string& tag) {
+  ASSERT_EQ(got.loss_bits.size(), want.loss_bits.size()) << tag;
+  for (std::size_t e = 0; e < want.loss_bits.size(); ++e) {
+    EXPECT_EQ(got.loss_bits[e], want.loss_bits[e])
+        << tag << " epoch " << e + 1 << " loss "
+        << std::bit_cast<double>(got.loss_bits[e]) << std::hex << " bits 0x"
+        << got.loss_bits[e];
+  }
+  EXPECT_EQ(got.params_crc, want.params_crc)
+      << tag << std::hex << " params crc 0x" << got.params_crc;
+  EXPECT_EQ(got.state_crc, want.state_crc)
+      << tag << std::hex << " state crc 0x" << got.state_crc;
+}
+
+// Every backend trains the same model, bit for bit: the forward, dX and dW
+// products of fit all keep each element's fma chain.  In the Release build
+// every backend must reach these constants.  They depend on the compiler's
+// code outside the kernels library too: at -O3 GCC contracts some of nn's
+// multiply-adds (Adam::step, Dense's weight init, Sequential::fit) into
+// fmas, which the sanitizer presets' -O1 does not, so there the backends
+// need only agree with each other.  The one legitimate reason to re-pin is
+// a libm, toolchain or Release-flag change (Adam's sqrt, the loss's exp and
+// log, those contractions); a kernel change that moves them has broken the
+// determinism contract.
+TEST(TrainingTrajectory, EveryBackendMatchesThePin) {
+  const Trajectory pins[] = {
+      {"default-mlp",
+       {0x3fe380819a5c28f6ull, 0x3fdbe0735dc28f5cull},
+       0xb6d15b23u,
+       0x0u},
+      {"MLP IV",
+       {0x3fe41be24547ae14ull, 0x3fdd40fb55851eb8ull},
+       0x086e4664u,
+       0x0u},
+      {"gohr-net/1",
+       {0x3fe877d3b191eb85ull, 0x3fe1f313e6f33333ull},
+       0x0422e564u,
+       0x019a5b27u},
+  };
+  for (const Trajectory& pin : pins) {
+    std::vector<Trajectory> runs;
+    for (Impl impl : kernels::available_impls()) {
+      kernels::set_dispatch(impl);
+      runs.push_back(fit_trajectory(pin.arch));
+      const std::string tag = pin.arch + " impl=" + kernels::impl_name(impl);
+#ifdef MLDIST_TRAJECTORY_PINNED
+      expect_same_trajectory(runs.back(), pin, tag);
+#else
+      expect_same_trajectory(runs.back(), runs.front(), tag);
+#endif
+    }
   }
   kernels::set_dispatch(kStartupImpl);
 }

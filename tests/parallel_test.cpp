@@ -196,6 +196,47 @@ TEST(ParallelEval, SingleBatchPredictObeysThreadCap) {
   EXPECT_EQ(capped, whole_pool);
 }
 
+// An evaluate of one batch (fit's validation pass, say) runs it the way
+// predict does, outside any pool region: at threads 0 its Dense layers
+// split their rows over the whole pool, as predict's do, and at 1 each is
+// one unsplit GEMM.  Loss and accuracy are the same bits either way.
+TEST(ParallelEval, SingleBatchEvaluateUsesThePool) {
+  const core::GimliHashTarget target(2);
+  const core::CipherOracle oracle(target);
+  core::CollectOptions copt;
+  copt.seed = 12;
+  copt.threads = 1;
+  const nn::Dataset data = core::collect_dataset(oracle, 200, copt);
+  ASSERT_EQ(data.size(), 400u);
+
+  core::ExperimentConfig config;
+  config.seed = 4;
+  auto model = config.make_model(target);
+  const auto gemm_calls = [] {
+    std::uint64_t total = 0;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::global().snapshot().counters) {
+      if (name.rfind("kernels.gemm.calls.", 0) == 0) total += value;
+    }
+    return total;
+  };
+  std::uint64_t before = gemm_calls();
+  (void)model->predict(data.x, 512, 0);
+  const std::uint64_t predict_calls = gemm_calls() - before;
+  before = gemm_calls();
+  const nn::EvalResult whole_pool = model->evaluate(data, 512, 0);
+  EXPECT_EQ(gemm_calls() - before, predict_calls);
+  if (util::ThreadPool::global().thread_count() > 1) {
+    EXPECT_GT(predict_calls, 3u) << "the wide layers split their rows";
+  }
+  before = gemm_calls();
+  const nn::EvalResult capped = model->evaluate(data, 512, 1);
+  EXPECT_EQ(gemm_calls() - before, 3u) << "one GEMM per Dense layer";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(capped.loss),
+            std::bit_cast<std::uint64_t>(whole_pool.loss));
+  EXPECT_EQ(capped.accuracy, whole_pool.accuracy);
+}
+
 // ---------------------------------------------------------------------------
 // nested parallel regions
 // ---------------------------------------------------------------------------
